@@ -87,7 +87,8 @@ def combinatorial_test(p: Polytope, u: int, v: int) -> bool:
 
 def algebraic_test(p: Polytope, u: int, v: int) -> bool:
     """Exact for all polytopes: the smallest face containing u, v has
-    dimension 1. Rank-based, O(n^3) worst case."""
+    dimension 1. Collects that face in O(n V), then ranks its k vertices
+    exactly in O(k n^2)."""
     _check_pair(p.vertex_count, u, v)
     return face_dimension(p, p.zero_sets[u] & p.zero_sets[v]) == 1
 

@@ -2,7 +2,9 @@
 
 Polytope input comes from stdin or --file; diagnostics go to stderr.
 Exit codes: 0 success, 2 validation or argument error, 3 unsupported
-polytope (an operation that needs simplicity got a non-simple input).
+polytope (an operation that needs simplicity got a non-simple input),
+4 internal invariant violated (a walk or the parity law failed, which a
+correct and complete vertex list cannot cause).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import sys
 
 from .adjacency import Verdict, all_pairs_adjacency, fast_test, neighbor_lists, precompute
-from .core import Polytope, UnsupportedPolytopeError, ValidationError, detect_facets, is_simple
+from .core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
 from .fileio import format_polytope, parse_polytope
 from .generators import GENERATORS
 from .pairgraph import all_complementary_pairs, disjoint_pairs, second_pair, verify_2d_parity
@@ -155,12 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedPolytopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ A polytope is handed to us as ``{x in R^n : Ax = b, x >= 0}`` together with
 the complete list of its vertices.  Nonnegativity constraints double as the
 face structure: the set of coordinates that vanish on a face determines the
 face, so most questions reduce to bit operations on per-vertex zero sets.
+Facets come from those zero sets alone, with no rank, in O(n^2 V) bit
+operations, and are kept as one facet bitmask per vertex.
 
 All arithmetic uses :class:`fractions.Fraction`, so zero tests, ranks and
 face dimensions are exact.  Objects are immutable after construction and
@@ -228,8 +230,7 @@ class Polytope:
     @cached_property
     def dimension(self) -> int:
         """Affine dimension: rank of the vertex-difference matrix."""
-        base = self._vertices[0]
-        return rank([[x - y for x, y in zip(v, base)] for v in self._vertices[1:]])
+        return _affine_rank(self._vertices)
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
@@ -245,11 +246,9 @@ def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     return [w for w in range(p.vertex_count) if p.zero_sets[w].issuperset(s)]
 
 
-def _affine_rank(p: Polytope, vertex_indices: Sequence[int]) -> int:
-    base = p.vertices[vertex_indices[0]]
-    return rank(
-        [[x - y for x, y in zip(p.vertices[w], base)] for w in vertex_indices[1:]]
-    )
+def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
+    """Affine dimension of nonempty ``points``: O(k n^2) for k points."""
+    return rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]])
 
 
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
@@ -257,7 +256,7 @@ def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     verts = face_vertices(p, s)
     if not verts:
         return None
-    return _affine_rank(p, verts)
+    return _affine_rank([p.vertices[w] for w in verts])
 
 
 @dataclass(frozen=True)
@@ -277,83 +276,83 @@ class Facets(Sequence[Facet]):
     """Facet catalogue of a polytope, with per-vertex facet memberships.
 
     Sequence of :class:`Facet`, ordered by smallest defining coordinate.
-    Coordinates whose vanishing locus is not a facet (empty, or dimension
-    below dim P - 1) are listed in ``non_facet_coordinates``.
+    Membership is held only in ``masks``: bit f of ``masks[w]`` is set when
+    vertex w lies on facet f; ``Facet`` objects and id sets are built from it.
+    Coordinates whose zero locus is no facet are ``non_facet_coordinates``.
     """
 
     def __init__(
         self,
-        facets: Sequence[Facet],
+        coordinates: Sequence[ZeroSet],
         non_facet_coordinates: Sequence[int],
-        vertex_count: int,
-        width: int,
-        vanishing_bits: int,
+        masks: Sequence[int],
     ) -> None:
-        self._facets = tuple(facets)
+        self._coordinates = tuple(coordinates)
         self.non_facet_coordinates = tuple(non_facet_coordinates)
-        self.width = width
-        mask = 0
-        per_vertex: list[set[int]] = [set() for _ in range(vertex_count)]
-        for f in self._facets:
-            mask |= f.coordinates.bits
-            for w in f.vertex_indices:
-                per_vertex[w].add(f.id)
-        self.coordinate_mask = mask
-        # facet coordinates that vanish on every vertex; empty for well-posed
-        # input, kept so the complementarity test below is an identity
-        self.vanishing_mask = vanishing_bits & mask
-        self._of_vertex = tuple(frozenset(s) for s in per_vertex)
+        self.masks = tuple(masks)
 
     def __len__(self) -> int:
-        return len(self._facets)
+        return len(self._coordinates)
 
     def __getitem__(self, i):  # type: ignore[override]
-        return self._facets[i]
+        f = range(len(self))[i]
+        if isinstance(f, range):
+            return tuple(self[k] for k in f)
+        vertices = frozenset(w for w, mask in enumerate(self.masks) if mask >> f & 1)
+        return Facet(f, self._coordinates[f], vertices)
+
+    @staticmethod
+    def ids(mask: int) -> frozenset[int]:
+        """Facet ids of the bits set in ``mask``."""
+        return frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
     def of_vertex(self, vertex_index: int) -> frozenset[int]:
         """Ids of the facets containing the given vertex."""
-        return self._of_vertex[vertex_index]
+        return self.ids(self.masks[vertex_index])
 
-    def common(self, u: int, v: int) -> frozenset[int]:
-        """Ids of facets containing both vertices."""
-        return self._of_vertex[u] & self._of_vertex[v]
+
+def maximal_faces(vertex_sets: Iterable[int], all_vertices: int) -> set[int]:
+    """The inclusion-maximal sets among the proper, nonempty ``vertex_sets``
+    (vertex bitmasks; ``all_vertices`` has every vertex bit set).  When the
+    sets are faces that include every facet, these are exactly the facets.
+    O(n^2 V) bit operations for n sets over V vertices."""
+    proper = set(vertex_sets) - {0, all_vertices}
+    return {s for s in proper if not any(s != t and s & t == s for t in proper)}
 
 
 def detect_facets(p: Polytope) -> Facets:
     """Group coordinates into facets by their vertex sets.
 
-    A coordinate defines a facet when its vanishing locus has dimension
-    dim P - 1; coordinates with identical vertex sets name the same facet
-    and are merged. Requires dim P >= 1.
+    Every facet of a standard-form polytope is some ``{x_i = 0}``, so the
+    facets are the maximal proper, nonempty coordinate faces; coordinates
+    with identical vertex sets name the same facet and are merged.  Vertex
+    incidences only, no rank: O(n^2 V) bit operations.  Requires dim P >= 1
+    (two or more vertices).
     """
-    d = p.dimension
-    if d < 1:
+    if p.vertex_count < 2:
         raise ValueError("facet detection requires dimension >= 1")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    non_facets: list[int] = []
-    for coord in range(1, p.n + 1):
-        verts = face_vertices(p, ZeroSet.of_indices(p.n, (coord,)))
-        if verts and _affine_rank(p, verts) == d - 1:
-            groups.setdefault(tuple(verts), []).append(coord)
-        else:
-            non_facets.append(coord)
-    facets = [
-        Facet(fid, ZeroSet.of_indices(p.n, coords), frozenset(verts))
-        for fid, (verts, coords) in enumerate(groups.items())
+    # vertex set of each coordinate face, as a bitmask over vertices
+    on_coord = [
+        sum(1 << w for w, z in enumerate(p.zero_sets) if z.bits >> i & 1) for i in range(p.n)
     ]
-    vanishing = p.zero_sets[0].bits
-    for zs in p.zero_sets[1:]:
-        vanishing &= zs.bits
-    return Facets(facets, non_facets, p.vertex_count, p.n, vanishing)
+    facet_sets = maximal_faces(on_coord, (1 << p.vertex_count) - 1)
+    groups: dict[int, list[int]] = {}
+    for coord, verts in enumerate(on_coord, start=1):
+        if verts in facet_sets:
+            groups.setdefault(verts, []).append(coord)
+    non_facets = [c for c, verts in enumerate(on_coord, start=1) if verts not in facet_sets]
+    masks = [
+        sum(1 << f for f, verts in enumerate(groups) if verts >> w & 1)
+        for w in range(p.vertex_count)
+    ]
+    coordinates = [ZeroSet.of_indices(p.n, coords) for coords in groups.values()]
+    return Facets(coordinates, non_facets, masks)
 
 
 def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) -> bool:
-    """True when vertices u and v lie on no common facet.
-
-    Implemented as a bit test: the common zero coordinates, restricted to
-    facet-defining positions, must be exactly those vanishing on all of P.
-    Computes the facet catalogue when one is not supplied (not cheap; pass
-    ``facets`` when calling repeatedly).
+    """True when vertices u and v lie on no common facet: one AND of their
+    facet masks.  Computes the facet catalogue when one is not supplied
+    (pass ``facets`` when calling repeatedly).
     """
     p._check_vertex_index(u)
     p._check_vertex_index(v)
@@ -361,8 +360,7 @@ def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) 
         raise ValueError("complementarity needs two distinct vertices")
     if facets is None:
         facets = detect_facets(p)
-    common = p.zero_sets[u].bits & p.zero_sets[v].bits & facets.coordinate_mask
-    return common == facets.vanishing_mask
+    return not facets.masks[u] & facets.masks[v]
 
 
 def is_simple(p: Polytope, facets: Facets | None = None) -> bool:
@@ -372,4 +370,4 @@ def is_simple(p: Polytope, facets: Facets | None = None) -> bool:
         return True
     if facets is None:
         facets = detect_facets(p)
-    return all(len(facets.of_vertex(w)) == d for w in range(p.vertex_count))
+    return all(mask.bit_count() == d for mask in facets.masks)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .core import Polytope, ValidationError, _rref, as_fraction, rank
+from .core import Polytope, ValidationError, _rref, as_fraction, maximal_faces, rank
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,12 @@ def slack_embed(h: HPolytope) -> Polytope:
     """Standard-form image of ``h``; coordinate j is the slack of row j.
 
     Validates what is cheap to check exactly: every vertex satisfies every
-    inequality, vertices are distinct and affinely span dimension d, every
-    inequality is tight on a (d-1)-dimensional vertex subset (so each row
-    is facet-defining), and the normals span (a degenerate or unbounded
-    system fails one of these).  Correctness of the vertex list itself is
-    presumed, as everywhere in this package.
+    inequality, vertices are distinct and affinely span dimension d, the
+    normals span (a degenerate or unbounded system fails one of these), and
+    every row is facet-defining: its tight vertex set is nonempty and
+    maximal among the rows' tight sets (every facet is some row's), found
+    with no rank.  Correctness of the vertex list itself is presumed, as
+    everywhere in this package.
     """
     d = h.dim
     slacks = []
@@ -103,16 +104,13 @@ def slack_embed(h: HPolytope) -> Polytope:
         raise ValidationError(f"degenerate input: vertices do not span dimension {d}")
     if rank(h.normals) != d:
         raise ValidationError("degenerate input: inequality normals do not span")
-    for j in range(len(h.normals)):
-        tight = [k for k, s in enumerate(slacks) if s[j] == 0]
-        if not tight:
+    tight = [sum(1 << k for k, s in enumerate(slacks) if s[j] == 0) for j in range(len(h.normals))]
+    facet_sets = maximal_faces(tight, (1 << len(slacks)) - 1)
+    for j, verts in enumerate(tight):
+        if not verts:
             raise ValidationError(f"inequality {j} is tight on no vertex")
-        base_t = h.vertices[tight[0]]
-        tdim = rank([[x - y for x, y in zip(h.vertices[k], base_t)] for k in tight[1:]])
-        if tdim != d - 1:
-            raise ValidationError(
-                f"inequality {j} is not facet-defining (tight set has dimension {tdim})"
-            )
+        if verts not in facet_sets:
+            raise ValidationError(f"inequality {j} is not facet-defining (tight set not maximal)")
 
     transpose = [[row[i] for row in h.normals] for i in range(d)]
     A = _nullspace(transpose)

@@ -58,7 +58,7 @@ def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
     p._check_vertex_index(v)
     if u == v:
         raise ValueError("a pair consists of two distinct vertices")
-    shared = len(facets.common(u, v))
+    shared = (facets.masks[u] & facets.masks[v]).bit_count()
     if shared == 0:
         return PairKind.COMPLEMENTARY
     if shared == 1:
@@ -69,8 +69,8 @@ def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
 def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
     """Canonical node (u < v) for the pair, of whatever kind."""
     kind = classify_pair(p, facets, u, v)
-    common = facets.common(u, v)
-    facet = next(iter(common)) if kind is PairKind.ALMOST_COMPLEMENTARY else None
+    common = facets.masks[u] & facets.masks[v]
+    facet = common.bit_length() - 1 if kind is PairKind.ALMOST_COMPLEMENTARY else None
     lo, hi = min(u, v), max(u, v)
     return PairNode(lo, hi, kind, facet)
 
@@ -100,6 +100,7 @@ def arcs_from(
     _require_walkable(p, facets)
     if node.kind is PairKind.EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
+    masks = facets.masks
     arcs = []
     for stay, move in ((node.u, node.v), (node.v, node.u)):
         for x in neighbors[move]:
@@ -107,7 +108,7 @@ def arcs_from(
                 continue
             # skip when one facet holds all three: the kept vertex and the
             # moved edge must lie on no common facet
-            if facets.of_vertex(stay) & facets.of_vertex(move) & facets.of_vertex(x):
+            if masks[stay] & masks[move] & masks[x]:
                 continue
             head = pair_node(p, facets, stay, x)
             if head.kind is PairKind.EXCLUDED:
@@ -115,33 +116,24 @@ def arcs_from(
                     f"internal invariant violated: move {node.pair} -> {head.pair} "
                     "left the pair graph"
                 )
-            facet_set = facets.of_vertex(stay) | (
-                facets.of_vertex(move) & facets.of_vertex(x)
-            )
-            arcs.append(PairArc(node, head, move, frozenset(facet_set)))
+            facet_set = facets.ids(masks[stay] | (masks[move] & masks[x]))
+            arcs.append(PairArc(node, head, move, facet_set))
     return arcs
 
 
 def all_complementary_pairs(p: Polytope, facets: Facets) -> list[tuple[int, int]]:
     """All pairs sharing no facet, ascending. Works for any polytope with
     dim >= 1; simplicity is not needed for this count."""
-    out = []
-    for u in range(p.vertex_count):
-        fu = facets.of_vertex(u)
-        for v in range(u + 1, p.vertex_count):
-            if not fu & facets.of_vertex(v):
-                out.append((u, v))
-    return out
+    masks = facets.masks
+    return [(u, v) for u, mu in enumerate(masks) for v in range(u + 1, len(masks))
+            if not mu & masks[v]]
 
 
 def _node_budget(p: Polytope, facets: Facets) -> int:
-    nodes = 0
-    for u in range(p.vertex_count):
-        fu = facets.of_vertex(u)
-        for v in range(u + 1, p.vertex_count):
-            if len(fu & facets.of_vertex(v)) <= 1:
-                nodes += 1
-    return 2 * nodes
+    masks = facets.masks
+    return 2 * sum(
+        (mu & mv).bit_count() <= 1 for u, mu in enumerate(masks) for mv in masks[u + 1:]
+    )
 
 
 def _walk_forward(
@@ -212,11 +204,8 @@ def disjoint_pairs(
         raise ValueError(f"pair {(u, v)} is not complementary")
 
     path = _shortest_path(neighbors, u, v)
-    pivot = None
-    for i in range(len(path) - 1):
-        if not facets.common(path[i], v) and facets.common(path[i + 1], v):
-            pivot = i
-            break
+    shared = [facets.masks[z] & facets.masks[v] for z in path]
+    pivot = next((i for i in range(len(path) - 1) if not shared[i] and shared[i + 1]), None)
     if pivot is None:
         raise RuntimeError("no pivot on a path between complementary partners")
     anchor = pair_node(p, facets, path[pivot], v)

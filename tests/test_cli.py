@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, stdin/file input."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyadj
 from polyadj.cli import main
 from polyadj.fileio import format_polytope
 from polyadj.generators import bipyramid3, cube
@@ -145,6 +150,23 @@ def test_exit_3_on_unsupported(capsys, bipyramid_stdin):
 def test_exit_3_on_parity_unsupported(capsys, monkeypatch, bipyramid_stdin):
     code, _, err = run(capsys, "parity")
     assert code == 3
+
+
+def test_exit_4_on_invariant_violation(capsys, tmp_path):
+    # cube(3) missing one vertex: incomplete input that breaks the parity
+    # law or a forced walk; the CLI reports it in one line, not a traceback
+    assert main(["gen", "cube", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    lines[0] = "6 3 7"
+    env = dict(os.environ, PYTHONPATH=str(Path(polyadj.__file__).parent.parent))
+    for dropped, argv in (("0 0 0 1 1 1", ["parity"]), ("1 1 1 0 0 0", ["second-pair", "1", "6"])):
+        path = tmp_path / "cube3_minus_one.poly"
+        path.write_text("\n".join(line for line in lines if line != dropped) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "polyadj.cli", *argv, "--file", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_usage_errors_from_argparse(capsys):

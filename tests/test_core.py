@@ -1,6 +1,7 @@
 """Zero sets, rank, faces, facets, complementarity."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from polyadj.core import (
     rank,
 )
 from polyadj.generators import cube, simplex, slack_embed
+from polyadj.pairgraph import PairKind, all_complementary_pairs, classify_pair
 
 # enumerated by hand from the 8 corners of the unit cube: coordinates are
 # (x1, x2, x3, 1-x1, 1-x2, 1-x3), vertices sorted lexicographically
@@ -332,3 +334,32 @@ def test_is_simple():
     assert is_simple(slack_embed(orc.fixture("truncated_cube")))
     assert not is_simple(slack_embed(orc.fixture("bipyramid3")))
     assert is_simple(POINT)  # dimension 0, trivially
+
+
+def test_facet_queries_need_no_rank(monkeypatch):
+    # facets, complementarity and simplicity come from vertex incidences
+    # alone; the dimension is the only rank, computed once and cached
+    cases = []
+    for name, d, dim, simple in (("cube", 4, 4, True), ("bipyramid3", None, 3, False)):
+        h = orc.fixture(name, d)
+        p = slack_embed(h)
+        assert p.dimension == dim
+        cases.append((h, p, simple))
+
+    def no_rank(matrix):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr("polyadj.core.rank", no_rank)
+    kinds = [PairKind.COMPLEMENTARY, PairKind.ALMOST_COMPLEMENTARY, PairKind.EXCLUDED]
+    for h, p, simple in cases:
+        facets = detect_facets(p)
+        want = orc.facet_vertex_sets(h)
+        assert sorted(map(sorted, (f.vertex_indices for f in facets))) == sorted(map(sorted, want))
+        assert is_simple(p, facets) is simple and is_simple(p) is simple
+        assert all_complementary_pairs(p, facets) == orc.complementary_pairs(h)
+        for u, v in combinations(range(p.vertex_count), 2):
+            assert is_complementary(p, u, v, facets) == orc.complementary(h, u, v)
+            shared = sum(u in fs and v in fs for fs in want)
+            assert classify_pair(p, facets, u, v) is kinds[min(shared, 2)]
+        last = p.vertex_count - 1
+        assert is_complementary(p, 0, last) == orc.complementary(h, 0, last)

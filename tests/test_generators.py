@@ -164,6 +164,25 @@ def test_embed_rejects_vertex_tangent_inequality():
         )
 
 
+def test_embed_rejects_edge_tangent_inequality():
+    # on cube(3), x1 + x2 <= 2 is tight on the whole edge x1 = x2 = 1
+    h = orc.fixture("cube", 3)
+    with pytest.raises(ValidationError, match="not facet-defining"):
+        slack_embed(HPolytope(h.normals + ((1, 1, 0),), h.offsets + (2,), h.vertices))
+
+
+def test_embed_merges_duplicated_facet_inequality():
+    # x1 <= 1 twice: rows 2 and 4 name one facet, coordinates 3 and 5
+    p = slack_embed(
+        square_h(normals=((-1, 0), (0, -1), (1, 0), (0, 1), (1, 0)), offsets=(0, 0, 1, 1, 1))
+    )
+    facets = detect_facets(p)
+    assert len(facets) == 4
+    merged = [f for f in facets if len(f.coordinates) > 1]
+    assert [f.coordinates.indices() for f in merged] == [(3, 5)]
+    assert facets.non_facet_coordinates == ()
+
+
 def test_embed_rejects_normals_that_do_not_span():
     # both constraints bound x1 only; x2 is unconstrained (unbounded strip)
     with pytest.raises(ValidationError, match="normals do not span"):
