@@ -1,9 +1,10 @@
 """Vertex adjacency tests: one fast join-map probe plus two exact fallbacks.
 
 ``precompute`` builds everything the fast test needs in one pass over the
-vertex pairs.  On a simple polytope the fast verdict is exact; otherwise a
-count of 1 is only necessary for adjacency, so the fast test answers
-INDETERMINATE and callers fall back to the combinatorial test.
+vertex pairs: the join map, whose count-1 pairs also decide simplicity.  On
+a simple polytope the fast verdict is exact; otherwise a count of 1 is only
+necessary for adjacency, so the fast test answers INDETERMINATE and callers
+fall back to the combinatorial test.
 """
 
 from __future__ import annotations
@@ -39,20 +40,17 @@ def precompute(p: Polytope) -> AdjacencyOracle:
     """Three stages: build the join map, compute dim P, test simplicity.
 
     Simplicity uses the join map itself: P is simple exactly when every
-    vertex has dim P partners whose pair count is 1.
+    vertex has dim P partners whose pair count is 1.  Those partners are the
+    map's recorded count-1 pairs, so the vertex pairs are scanned once.
     """
     jm = build_join_map(p)
     d = p.dimension
-    zs = p.zero_sets
     partners = [0] * p.vertex_count
-    for u in range(p.vertex_count):
-        zu = zs[u]
-        for v in range(u + 1, p.vertex_count):
-            if jm.lookup(zu & zs[v]) == 1:
-                partners[u] += 1
-                partners[v] += 1
+    for u, v in jm.unique_pairs():
+        partners[u] += 1
+        partners[v] += 1
     simple = all(k == d for k in partners)
-    return AdjacencyOracle(jm, d, simple, zs)
+    return AdjacencyOracle(jm, d, simple, p.zero_sets)
 
 
 def _check_pair(count: int, u: int, v: int) -> None:
@@ -96,19 +94,15 @@ def algebraic_test(p: Polytope, u: int, v: int) -> bool:
 def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> list[tuple[int, int]]:
     """Edge list of the polytope graph, ascending, exact for all polytopes.
 
-    Fast test first; INDETERMINATE pairs are settled combinatorially.
+    Only pairs alone on their join can be edges.  On a simple polytope they
+    all are; otherwise each is settled combinatorially.
     """
     if oracle is None:
         oracle = precompute(p)
-    edges = []
-    for u in range(p.vertex_count):
-        for v in range(u + 1, p.vertex_count):
-            verdict = fast_test(oracle, u, v)
-            if verdict is Verdict.ADJACENT or (
-                verdict is Verdict.INDETERMINATE and combinatorial_test(p, u, v)
-            ):
-                edges.append((u, v))
-    return edges
+    pairs = oracle.join_map.unique_pairs()
+    if oracle.simple:
+        return pairs
+    return [(u, v) for u, v in pairs if combinatorial_test(p, u, v)]
 
 
 def neighbor_lists(vertex_count: int, edges: list[tuple[int, int]]) -> list[list[int]]:

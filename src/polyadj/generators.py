@@ -80,11 +80,14 @@ def slack_embed(h: HPolytope) -> Polytope:
 
     Validates what is cheap to check exactly: every vertex satisfies every
     inequality, vertices are distinct and affinely span dimension d, the
-    normals span (a degenerate or unbounded system fails one of these), and
+    normals span (a degenerate or unbounded system fails one of these),
     every row is facet-defining: its tight vertex set is nonempty and
     maximal among the rows' tight sets (every facet is some row's), found
-    with no rank.  Correctness of the vertex list itself is presumed, as
-    everywhere in this package.
+    with no rank, and every vertex lies on at least d of those facets, as
+    every vertex of a d-polytope does.  That last check costs one bit test
+    per vertex and facet, and is necessary but not sufficient for the rows
+    to name every facet.  Correctness of the vertex list itself is presumed,
+    as everywhere in this package.
     """
     d = h.dim
     slacks = []
@@ -111,6 +114,10 @@ def slack_embed(h: HPolytope) -> Polytope:
             raise ValidationError(f"inequality {j} is tight on no vertex")
         if verts not in facet_sets:
             raise ValidationError(f"inequality {j} is not facet-defining (tight set not maximal)")
+    for k in range(len(slacks)):
+        on = sum(verts >> k & 1 for verts in facet_sets)
+        if on < d:
+            raise ValidationError(f"vertex {k} lies on {on} < {d} facets: a facet row is missing")
 
     transpose = [[row[i] for row in h.normals] for i in range(d)]
     A = _nullspace(transpose)

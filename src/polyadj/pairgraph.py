@@ -129,35 +129,27 @@ def all_complementary_pairs(p: Polytope, facets: Facets) -> list[tuple[int, int]
             if not mu & masks[v]]
 
 
-def _node_budget(p: Polytope, facets: Facets) -> int:
-    masks = facets.masks
-    return 2 * sum(
-        (mu & mv).bit_count() <= 1 for u, mu in enumerate(masks) for mv in masks[u + 1:]
-    )
-
-
 def _walk_forward(
     p: Polytope,
     facets: Facets,
     neighbors: list[list[int]],
     prev: PairNode,
     cur: PairNode,
-    budget: int,
 ) -> PairNode:
     """Follow the two-arc rule from ``cur`` (never back to ``prev``) until a
-    complementary node appears. The step budget bounds the walk by twice the
-    node count; exceeding it means the forced-forward rule is broken, which
-    no valid input can do, so that is reported loudly."""
-    steps = 0
+    complementary node appears. A forced walk on a finite graph ends unless
+    it repeats a node; a repeat means the forced-forward rule is broken,
+    which no valid input can do, so that is reported loudly."""
+    seen = {prev.pair}
     while cur.kind is not PairKind.COMPLEMENTARY:
         if cur.kind is PairKind.EXCLUDED:
             raise RuntimeError(f"walk reached excluded pair {cur.pair}")
-        steps += 1
-        if steps > budget:
+        if cur.pair in seen:
             raise RuntimeError(
-                f"walk exceeded {budget} steps without reaching a complementary "
+                f"walk revisited pair {cur.pair} without reaching a complementary "
                 "pair; forced-forward rule violated"
             )
+        seen.add(cur.pair)
         onward = [a.head for a in arcs_from(p, facets, neighbors, cur) if a.head.pair != prev.pair]
         if len(onward) != 1:
             raise RuntimeError(
@@ -182,7 +174,7 @@ def second_pair(
     if start_node.kind is not PairKind.COMPLEMENTARY:
         raise ValueError(f"pair {start_node.pair} is not complementary")
     first = pair_node(p, facets, min(neighbors[u]), v)
-    found = _walk_forward(p, facets, neighbors, start_node, first, _node_budget(p, facets))
+    found = _walk_forward(p, facets, neighbors, start_node, first)
     if found.pair == start_node.pair:
         raise RuntimeError("walk returned to its starting pair")
     return found.pair
@@ -210,9 +202,7 @@ def disjoint_pairs(
         raise RuntimeError("no pivot on a path between complementary partners")
     anchor = pair_node(p, facets, path[pivot], v)
     step_off = pair_node(p, facets, path[pivot + 1], v)
-    found = _walk_forward(
-        p, facets, neighbors, anchor, step_off, _node_budget(p, facets)
-    )
+    found = _walk_forward(p, facets, neighbors, anchor, step_off)
     if len({*anchor.pair, *found.pair}) != 4:
         raise RuntimeError(
             f"pairs {anchor.pair} and {found.pair} share a vertex; "

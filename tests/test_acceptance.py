@@ -102,8 +102,8 @@ def test_constructive_walks_find_second_and_disjoint_pairs():
         neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
         pairs = all_complementary_pairs(p, facets)
         for pair in pairs:
-            # the walk itself enforces its step budget of twice the node
-            # count and raises when exceeded, so returning is the proof
+            # the walk itself raises as soon as it revisits a pair, and a
+            # forced walk that never repeats ends, so returning is the proof
             found = second_pair(p, facets, neighbors, pair)
             assert found != pair and found in pairs
             first, second = disjoint_pairs(p, facets, neighbors, pair)

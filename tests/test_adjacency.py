@@ -14,7 +14,9 @@ from polyadj.adjacency import (
     neighbor_lists,
     precompute,
 )
+from polyadj.core import ZeroSet
 from polyadj.generators import cube, prism3, simplex, slack_embed
+from polyadj.joinmap import JoinMap, build_join_map
 
 CUBE3_EDGES = [
     (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
@@ -147,3 +149,35 @@ def test_neighbor_lists():
     assert nb[0] == [1, 2, 4]
     assert nb[7] == [3, 5, 6]
     assert all(len(lst) == 3 for lst in nb)
+
+
+def test_unique_pairs_are_the_cube3_edges():
+    assert build_join_map(cube(3)).unique_pairs() == CUBE3_EDGES
+
+
+def test_unique_pairs_need_recorded_pairs():
+    jm = JoinMap(3)
+    jm.increment(ZeroSet(3, 1))
+    with pytest.raises(ValueError, match="records no vertex pairs"):
+        jm.unique_pairs()
+
+
+def test_scan_products_need_no_lookup(monkeypatch):
+    # simplicity and the edge list come from the count-1 pairs recorded
+    # during the build; only fast_test looks a join up
+    def no_lookup(self, s):
+        raise AssertionError("lookup called")
+
+    monkeypatch.setattr(JoinMap, "lookup", no_lookup)
+    for name, d, dim, simple, edge_count in (
+        ("cube", 4, 4, True, 32),
+        ("truncated_cube", None, 3, True, 15),
+        ("bipyramid3", None, 3, False, 9),
+    ):
+        h = orc.fixture(name, d)
+        p = slack_embed(h)
+        o = precompute(p)
+        assert (o.dim, o.simple) == (dim, simple)
+        edges = all_pairs_adjacency(p, o)
+        assert edges == orc.edges(h) and len(edges) == edge_count
+        assert all_pairs_adjacency(p) == edges

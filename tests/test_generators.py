@@ -183,6 +183,22 @@ def test_embed_merges_duplicated_facet_inequality():
     assert facets.non_facet_coordinates == ()
 
 
+def test_embed_rejects_system_missing_a_facet():
+    # x + y <= 2 only touches (1, 1); the facets x <= 1 and y <= 1 are
+    # missing, so (0, 1) lies on a single facet of the rows
+    with pytest.raises(ValidationError, match="vertex 1 lies on 1 < 2 facets"):
+        slack_embed(square_h(normals=((-1, 0), (0, -1), (1, 1)), offsets=(0, 0, 2)))
+
+
+def test_embed_rejects_cube_without_one_facet_row():
+    # cube(3) rows are x_i >= 0 then x_i <= 1; drop x1 <= 1 (row 3)
+    h = orc.fixture("cube", 3)
+    rows = [j for j in range(6) if j != 3]
+    with pytest.raises(ValidationError, match="lies on 2 < 3 facets"):
+        slack_embed(HPolytope(tuple(h.normals[j] for j in rows),
+                              tuple(h.offsets[j] for j in rows), h.vertices))
+
+
 def test_embed_rejects_normals_that_do_not_span():
     # both constraints bound x1 only; x2 is unconstrained (unbounded strip)
     with pytest.raises(ValidationError, match="normals do not span"):

@@ -8,8 +8,11 @@ import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
 from polyadj.core import UnsupportedPolytopeError, detect_facets
 from polyadj.generators import cube, prism3, simplex, slack_embed
+from polyadj import pairgraph
 from polyadj.pairgraph import (
+    PairArc,
     PairKind,
+    PairNode,
     all_complementary_pairs,
     arcs_from,
     classify_pair,
@@ -207,6 +210,25 @@ def test_walk_argument_errors():
         disjoint_pairs(p, facets, neighbors, (0, 1))
     with pytest.raises(ValueError, match="out of range"):
         second_pair(p, facets, neighbors, (0, 11))
+
+
+def test_walk_stops_at_first_repeated_pair(monkeypatch):
+    # a broken pair graph whose forced walk cycles a -> b -> c -> a: the walk
+    # raises when it reaches a again instead of running on
+    start = PairNode(0, 7, PairKind.COMPLEMENTARY, None)
+    a, b, c = (PairNode(0, v, PairKind.ALMOST_COMPLEMENTARY, 0) for v in (1, 2, 3))
+    ring = {a: (start, b), b: (a, c), c: (b, a)}
+    visited = []
+
+    def ring_arcs(p, facets, neighbors, node):
+        visited.append(node.pair)
+        return [PairArc(node, head, 0, frozenset()) for head in ring[node]]
+
+    monkeypatch.setattr(pairgraph, "arcs_from", ring_arcs)
+    p = cube(3)
+    with pytest.raises(RuntimeError, match=r"revisited pair \(0, 1\)"):
+        pairgraph._walk_forward(p, detect_facets(p), [], start, a)
+    assert visited == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_walks_refuse_unsupported_polytopes():
