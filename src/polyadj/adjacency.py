@@ -61,8 +61,8 @@ def _check_pair(count: int, u: int, v: int) -> None:
         raise ValueError("adjacency needs two distinct vertices")
 
 
-def fast_test(oracle: AdjacencyOracle, u: int, v: int) -> Verdict:
-    """O(n) verdict from one join-map lookup.
+def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]:
+    """O(n) verdict from one join-map lookup, with the pair count it rests on.
 
     Exact on simple polytopes. On non-simple ones a count of 1 cannot
     certify an edge, so it maps to INDETERMINATE; any other count is a
@@ -71,8 +71,13 @@ def fast_test(oracle: AdjacencyOracle, u: int, v: int) -> Verdict:
     _check_pair(len(oracle.zero_sets), u, v)
     c = oracle.join_map.lookup(oracle.zero_sets[u] & oracle.zero_sets[v])
     if c == 1:
-        return Verdict.ADJACENT if oracle.simple else Verdict.INDETERMINATE
-    return Verdict.NON_ADJACENT
+        return (Verdict.ADJACENT if oracle.simple else Verdict.INDETERMINATE), c
+    return Verdict.NON_ADJACENT, c
+
+
+def fast_test(oracle: AdjacencyOracle, u: int, v: int) -> Verdict:
+    """The verdict of :func:`fast_verdict` alone."""
+    return fast_verdict(oracle, u, v)[0]
 
 
 def combinatorial_test(p: Polytope, u: int, v: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adjacency import Verdict, all_pairs_adjacency, fast_test, neighbor_lists, precompute
+from .adjacency import Verdict, all_pairs_adjacency, fast_verdict, neighbor_lists, precompute
 from .core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
 from .fileio import format_polytope, parse_polytope
 from .generators import GENERATORS
@@ -45,8 +45,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_adjacent(args: argparse.Namespace) -> int:
     p = _load(args)
     oracle = precompute(p)
-    verdict = fast_test(oracle, args.u, args.v)
-    count = oracle.join_map.lookup(oracle.zero_sets[args.u] & oracle.zero_sets[args.v])
+    verdict, count = fast_verdict(oracle, args.u, args.v)
     print(verdict.value.upper())
     print(f"count {count}")
     if verdict is Verdict.INDETERMINATE:

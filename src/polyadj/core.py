@@ -5,11 +5,13 @@ the complete list of its vertices.  Nonnegativity constraints double as the
 face structure: the set of coordinates that vanish on a face determines the
 face, so most questions reduce to bit operations on per-vertex zero sets.
 Facets come from those zero sets alone, with no rank, in O(n^2 V) bit
-operations, and are kept as one facet bitmask per vertex.
+operations, and are kept as one facet bitmask per vertex; the dimension is
+a chain of coordinate faces, also with no rank.
 
-All arithmetic uses :class:`fractions.Fraction`, so zero tests, ranks and
-face dimensions are exact.  Objects are immutable after construction and
-safe to share between threads for reads.
+Inputs and results are exact rationals (:class:`fractions.Fraction`), so
+zero tests, ranks and face dimensions are exact; validation runs on rows
+and vertices scaled to ints by the lcm of their denominators.  Objects are
+immutable after construction and safe to share between threads for reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 
 class ValidationError(ValueError):
@@ -31,6 +34,8 @@ class UnsupportedPolytopeError(Exception):
 
 def as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce to Fraction. Floats are refused: binary floats are not exact input."""
+    if type(value) is Fraction:  # immutable: pass it through
+        return value
     if isinstance(value, float):
         raise ValidationError(f"refusing float {value!r}; pass int, str or Fraction")
     try:
@@ -98,6 +103,20 @@ class ZeroSet:
     def __repr__(self) -> str:
         inner = "{" + ",".join(map(str, self.indices())) + "}"
         return f"ZeroSet({inner}, width={self.width})"
+
+
+def _integral(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(scale, ints)``: the lcm of the denominators of ``row`` and the row
+    times that scale, as ints."""
+    scale = lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _sparse_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[int, list[tuple[int, int]], int]:
+    """``row`` and ``rhs`` scaled to ints together: ``(scale, terms, rhs)``,
+    with ``terms`` the nonzero ``(index, coeff)`` entries of the row."""
+    scale, ints = _integral((*row, rhs))
+    return scale, [(i, c) for i, c in enumerate(ints[:-1]) if c], ints[-1]
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -170,21 +189,25 @@ class Polytope:
         if len(rhs) != len(rows):
             raise ValidationError(f"b has {len(rhs)} entries for {len(rows)} equality rows")
 
-        seen: dict[tuple[Fraction, ...], int] = {}
+        # row . v == b_j  iff  sum(c * x) == b_int * D  for v scaled to ints by D
+        equalities = [_sparse_row(row, rj)[1:] for row, rj in zip(rows, rhs)]
+        seen: dict[tuple[int, ...], int] = {}
         for k, v in enumerate(verts):
-            for i, x in enumerate(v):
+            scale, xs = _integral(v)
+            for i, x in enumerate(xs):
                 if x < 0:
-                    raise ValidationError(f"vertex {k}: coordinate {i + 1} is negative ({x})")
-            for j, (row, rj) in enumerate(zip(rows, rhs)):
-                lhs = sum(c * x for c, x in zip(row, v))
-                if lhs != rj:
+                    raise ValidationError(f"vertex {k}: coordinate {i + 1} is negative ({v[i]})")
+            for j, (terms, bj) in enumerate(equalities):
+                if sum(c * xs[i] for i, c in terms) != bj * scale:
+                    lhs = sum(c * x for c, x in zip(rows[j], v))
                     raise ValidationError(
-                        f"vertex {k}: equality row {j} gives {lhs}, expected {rj}"
+                        f"vertex {k}: equality row {j} gives {lhs}, expected {rhs[j]}"
                     )
-            dup = seen.get(v)
+            key = (scale, *xs)  # equal points have equal reduced scalings
+            dup = seen.get(key)
             if dup is not None:
                 raise ValidationError(f"vertices {dup} and {k} are identical")
-            seen[v] = k
+            seen[key] = k
 
         self._A = rows
         self._b = rhs
@@ -228,9 +251,30 @@ class Polytope:
             raise ValueError(f"vertex index {k} out of range 0..{len(self._vertices) - 1}")
 
     @cached_property
+    def coordinate_faces(self) -> tuple[int, ...]:
+        """Vertex set of each coordinate face, as a bitmask: bit w of entry i
+        is set when coordinate i + 1 vanishes on vertex w."""
+        return tuple(
+            sum(1 << w for w, z in enumerate(self._zero_sets) if z.bits >> i & 1)
+            for i in range(self.n)
+        )
+
+    @cached_property
     def dimension(self) -> int:
-        """Affine dimension: rank of the vertex-difference matrix."""
-        return _affine_rank(self._vertices)
+        """Affine dimension, with no rank: the steps from P down to a vertex,
+        each to a largest proper, nonempty meet of the face with a coordinate
+        face.  A largest one is a facet of the face, so each step drops the
+        dimension by one.  O(d n) operations on V-bit ints.  Exact when the
+        vertex list is correct and complete; on an incomplete list it can
+        fall below the affine rank of the points, never above it."""
+        face = (1 << self.vertex_count) - 1
+        d = 0
+        while True:
+            smaller = [s for s in (face & c for c in self.coordinate_faces) if s and s != face]
+            if not smaller:
+                return d
+            face = max(smaller, key=int.bit_count)
+            d += 1
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
@@ -331,10 +375,7 @@ def detect_facets(p: Polytope) -> Facets:
     """
     if p.vertex_count < 2:
         raise ValueError("facet detection requires dimension >= 1")
-    # vertex set of each coordinate face, as a bitmask over vertices
-    on_coord = [
-        sum(1 << w for w, z in enumerate(p.zero_sets) if z.bits >> i & 1) for i in range(p.n)
-    ]
+    on_coord = p.coordinate_faces
     facet_sets = maximal_faces(on_coord, (1 << p.vertex_count) - 1)
     groups: dict[int, list[int]] = {}
     for coord, verts in enumerate(on_coord, start=1):

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
-from .core import Polytope, ValidationError, _rref, as_fraction, maximal_faces, rank
+from .core import (
+    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, maximal_faces, rank,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class HPolytope:
         return len(self.vertices[0])
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _nullspace(rows: list[list[Fraction]]) -> list[list[int]]:
     """Basis of {x : M x = 0} from the RREF of M, denominators cleared.
 
     One basis vector per free column, canonical: the vector for free column
@@ -70,8 +71,7 @@ def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -reduced[r][f]
-        scale = lcm(*(x.denominator for x in vec))
-        basis.append([x * scale for x in vec])
+        basis.append(_integral(vec)[1])
     return basis
 
 
@@ -90,11 +90,14 @@ def slack_embed(h: HPolytope) -> Polytope:
     as everywhere in this package.
     """
     d = h.dim
+    # slack j = (g_int * D - c_int . x_int) / (scale * D) for x scaled to ints by D
+    rows = [_sparse_row(c, g) for c, g in zip(h.normals, h.offsets)]
     slacks = []
     for k, x in enumerate(h.vertices):
+        D, xs = _integral(x)
         row = []
-        for j, (c, g) in enumerate(zip(h.normals, h.offsets)):
-            s = g - sum(ci * xi for ci, xi in zip(c, x))
+        for j, (scale, terms, g) in enumerate(rows):
+            s = Fraction(g * D - sum(ci * xs[i] for i, ci in terms), scale * D)
             if s < 0:
                 raise ValidationError(f"vertex {k} violates inequality {j} by {-s}")
             row.append(s)

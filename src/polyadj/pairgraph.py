@@ -76,6 +76,9 @@ def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
 
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:
+    """Refuse unless P is simple with dim P > 1.  Each public entry point
+    runs this once; a pass is remembered on ``facets`` (for this ``p``) so
+    that ``arcs_from``, called at every walk step, does not re-run it."""
     d = p.dimension
     if d <= 1:
         raise UnsupportedPolytopeError(f"pair-graph walks need dimension > 1, got {d}")
@@ -84,6 +87,7 @@ def _require_walkable(p: Polytope, facets: Facets) -> int:
             "pair-graph walks need a simple polytope; use the combinatorial "
             "adjacency test instead"
         )
+    facets._walkable_in = p
     return d
 
 
@@ -95,9 +99,11 @@ def arcs_from(
 
     A complementary node has 2d arcs with pairwise different facet sets; a
     one-common-facet node has exactly 2 arcs with the same facet set.  Facet
-    sets have 2d - 1 elements.
+    sets have 2d - 1 elements.  Refuses a polytope that is not simple with
+    dim P > 1, checked once per ``(p, facets)``.
     """
-    _require_walkable(p, facets)
+    if getattr(facets, "_walkable_in", None) is not p:
+        _require_walkable(p, facets)
     if node.kind is PairKind.EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
     masks = facets.masks

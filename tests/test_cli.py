@@ -63,6 +63,21 @@ def test_adjacent_verdicts(capsys, cube3_file):
     assert (code, out) == (0, "NON-ADJACENT\ncount 2\n")
 
 
+def test_adjacent_looks_up_once(capsys, monkeypatch, cube3_file):
+    from polyadj.joinmap import JoinMap
+
+    calls = []
+    lookup = JoinMap.lookup
+
+    def counted(self, s):
+        calls.append(s)
+        return lookup(self, s)
+
+    monkeypatch.setattr(JoinMap, "lookup", counted)
+    code, out, _ = run(capsys, "adjacent", "0", "6", "--file", cube3_file)
+    assert (code, out, len(calls)) == (0, "NON-ADJACENT\ncount 2\n", 1)
+
+
 def test_adjacent_indeterminate_hints(capsys, bipyramid_stdin):
     code, out, err = run(capsys, "adjacent", "2", "3")
     assert code == 0

@@ -158,6 +158,66 @@ def test_polytope_accepts_strings_and_fractions():
     assert p.vertices[1] == (Fraction(1, 2), Fraction(1, 2))
 
 
+def _fraction_validation_error(A, b, points):
+    """The first complaint of a plain Fraction check, or None."""
+    seen = {}
+    for k, v in enumerate(points):
+        for j, (row, rj) in enumerate(zip(A, b)):
+            lhs = sum(c * x for c, x in zip(row, v))
+            if lhs != rj:
+                return f"vertex {k}: equality row {j} gives {lhs}, expected {rj}"
+        if v in seen:
+            return f"vertices {seen[v]} and {k} are identical"
+        seen[v] = k
+    return None
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+NONNEGATIVE = st.fractions(min_value=0, max_value=3, max_denominator=7)
+
+
+@given(st.data())
+def test_validation_matches_fraction_dot_products(data):
+    # n = k + m coordinates; equality row j has a nonzero pivot at k + j and
+    # nothing at the other pivots, so a point can be made to satisfy row j by
+    # setting its pivot coordinate; each point fixes a random subset of rows
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(0, 3))
+    A, b = [], []
+    for j in range(m):
+        row = data.draw(st.lists(RATIONALS, min_size=k, max_size=k))
+        pivot = data.draw(RATIONALS.filter(bool))
+        A.append(row + [pivot if i == j else Fraction(0) for i in range(m)])
+        b.append(data.draw(NONNEGATIVE))
+    points = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        x = data.draw(st.lists(NONNEGATIVE, min_size=k, max_size=k))
+        for j in range(m):
+            fixed = (b[j] - sum(c * xi for c, xi in zip(A[j], x))) / A[j][k + j]
+            keep = data.draw(st.booleans()) or fixed < 0
+            x.append(data.draw(NONNEGATIVE) if keep else fixed)
+        points.append(tuple(x))
+    if data.draw(st.booleans()):
+        points.append(data.draw(st.sampled_from(points)))  # maybe a duplicate
+    expected = _fraction_validation_error(A, b, points)
+    if expected is None:
+        assert Polytope(A, b, points).vertices == tuple(points)
+    else:
+        with pytest.raises(ValidationError) as info:
+            Polytope(A, b, points)
+        assert str(info.value) == expected
+
+
+def test_validation_sees_a_tiny_offset():
+    off = Fraction(1, 10**30)
+    with pytest.raises(ValidationError) as info:
+        Polytope([[1, 1]], [1], [(0, 1), (Fraction(1, 2) + off, Fraction(1, 2))])
+    assert str(info.value) == (
+        "vertex 1: equality row 0 gives "
+        "1000000000000000000000000000001/1000000000000000000000000000000, expected 1"
+    )
+
+
 # -- zero sets, dimension ---------------------------------------------------
 
 
@@ -185,6 +245,21 @@ def test_dimension():
 def test_dimension_bounded_by_equality_rank():
     for p in (cube(3), simplex(4), slack_embed(orc.fixture("prism3"))):
         assert p.dimension <= p.n - rank(p.A)
+
+
+def test_dimension_needs_no_rank(monkeypatch):
+    polytopes = [build(d) for build in (cube, simplex) for d in range(1, 6)]
+    polytopes += [slack_embed(orc.fixture(name))
+                  for name in ("prism3", "bipyramid3", "truncated_cube", "bipyramid_simplex4")]
+    polytopes.append(orc.product_polytope(slack_embed(orc.fixture("bipyramid3")), cube(2)))
+    fresh = [Polytope(p.A, p.b, p.vertices) for p in polytopes]
+
+    def no_rank(matrix):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr("polyadj.core.rank", no_rank)
+    for p in fresh:
+        assert p.dimension == orc.affine_dim(p.vertices)
 
 
 # -- faces ------------------------------------------------------------------
@@ -337,8 +412,8 @@ def test_is_simple():
 
 
 def test_facet_queries_need_no_rank(monkeypatch):
-    # facets, complementarity and simplicity come from vertex incidences
-    # alone; the dimension is the only rank, computed once and cached
+    # facets, complementarity, simplicity and the dimension come from
+    # vertex incidences alone, with no rank
     cases = []
     for name, d, dim, simple in (("cube", 4, 4, True), ("bipyramid3", None, 3, False)):
         h = orc.fixture(name, d)

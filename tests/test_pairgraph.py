@@ -6,7 +6,7 @@ import pytest
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
-from polyadj.core import UnsupportedPolytopeError, detect_facets
+from polyadj.core import UnsupportedPolytopeError, detect_facets, is_simple
 from polyadj.generators import cube, prism3, simplex, slack_embed
 from polyadj import pairgraph
 from polyadj.pairgraph import (
@@ -229,6 +229,23 @@ def test_walk_stops_at_first_repeated_pair(monkeypatch):
     with pytest.raises(RuntimeError, match=r"revisited pair \(0, 1\)"):
         pairgraph._walk_forward(p, detect_facets(p), [], start, a)
     assert visited == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_walks_check_simplicity_once(monkeypatch):
+    calls = []
+
+    def counted(p, facets=None):
+        calls.append(1)
+        return is_simple(p, facets)
+
+    monkeypatch.setattr(pairgraph, "is_simple", counted)
+    for p in (cube(4), slack_embed(orc.fixture("truncated_cube"))):
+        facets, neighbors = graph_inputs(p)
+        for walk in (second_pair, disjoint_pairs):
+            for start in all_complementary_pairs(p, facets):
+                calls.clear()
+                walk(p, facets, neighbors, start)
+                assert len(calls) == 1
 
 
 def test_walks_refuse_unsupported_polytopes():
