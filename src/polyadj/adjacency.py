@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Polytope, face_dimension, face_vertices
+from .core import Polytope, _check_pair, face_dimension, face_vertices
 from .joinmap import JoinMap, build_join_map
 
 
@@ -53,14 +53,6 @@ def precompute(p: Polytope) -> AdjacencyOracle:
     return AdjacencyOracle(jm, d, simple, p.zero_sets)
 
 
-def _check_pair(count: int, u: int, v: int) -> None:
-    for k in (u, v):
-        if not 0 <= k < count:
-            raise ValueError(f"vertex index {k} out of range 0..{count - 1}")
-    if u == v:
-        raise ValueError("adjacency needs two distinct vertices")
-
-
 def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]:
     """O(n) verdict from one join-map lookup, with the pair count it rests on.
 
@@ -68,7 +60,7 @@ def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]
     certify an edge, so it maps to INDETERMINATE; any other count is a
     sound NON_ADJACENT.
     """
-    _check_pair(len(oracle.zero_sets), u, v)
+    _check_pair(len(oracle.zero_sets), u, v, "adjacency needs two distinct vertices")
     c = oracle.join_map.lookup(oracle.zero_sets[u] & oracle.zero_sets[v])
     if c == 1:
         return (Verdict.ADJACENT if oracle.simple else Verdict.INDETERMINATE), c
@@ -82,17 +74,19 @@ def fast_test(oracle: AdjacencyOracle, u: int, v: int) -> Verdict:
 
 def combinatorial_test(p: Polytope, u: int, v: int) -> bool:
     """Exact for all polytopes: u, v are adjacent when no third vertex lies
-    on the smallest face containing both. O(n V)."""
-    _check_pair(p.vertex_count, u, v)
+    on the smallest face containing both.  That face is an AND of the
+    coordinate-face bitmasks of their common zeros: O(n) operations on V-bit
+    ints, plus O(V) to list it."""
+    _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
     verts = face_vertices(p, p.zero_sets[u] & p.zero_sets[v])
     return verts == sorted((u, v))
 
 
 def algebraic_test(p: Polytope, u: int, v: int) -> bool:
     """Exact for all polytopes: the smallest face containing u, v has
-    dimension 1. Collects that face in O(n V), then ranks its k vertices
-    exactly in O(k n^2)."""
-    _check_pair(p.vertex_count, u, v)
+    dimension 1. Collects that face as for :func:`combinatorial_test`, then
+    ranks its k vertices exactly in O(k n^2)."""
+    _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
     return face_dimension(p, p.zero_sets[u] & p.zero_sets[v]) == 1
 
 

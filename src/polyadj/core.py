@@ -157,6 +157,15 @@ def rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     return len(_rref(rows)[1])
 
 
+def _check_pair(count: int, u: int, v: int, same: str) -> None:
+    """Refuse indices outside 0..count - 1, then equal ones, with message ``same``."""
+    for k in (u, v):
+        if not 0 <= k < count:
+            raise ValueError(f"vertex index {k} out of range 0..{count - 1}")
+    if u == v:
+        raise ValueError(same)
+
+
 class Polytope:
     """Bounded polytope ``{x : Ax = b, x >= 0}`` with its complete vertex list.
 
@@ -283,11 +292,19 @@ class Polytope:
 def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """Indices of vertices on the face where every coordinate in ``s`` vanishes.
 
-    Ascending order. Empty when no vertex satisfies ``s``.
+    Ascending order. Empty when no vertex satisfies ``s``.  An AND of the
+    coordinate faces of the |s| coordinates in ``s``, then O(V) to list it.
     """
     if s.width != p.n:
         raise ValueError(f"zero set width {s.width} does not match n={p.n}")
-    return [w for w in range(p.vertex_count) if p.zero_sets[w].issuperset(s)]
+    faces = p.coordinate_faces
+    verts = (1 << p.vertex_count) - 1
+    bits = s.bits
+    while bits and verts:
+        low = bits & -bits
+        verts &= faces[low.bit_length() - 1]
+        bits ^= low
+    return [w for w in range(verts.bit_length()) if verts >> w & 1]
 
 
 def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
@@ -355,15 +372,6 @@ class Facets(Sequence[Facet]):
         return self.ids(self.masks[vertex_index])
 
 
-def maximal_faces(vertex_sets: Iterable[int], all_vertices: int) -> set[int]:
-    """The inclusion-maximal sets among the proper, nonempty ``vertex_sets``
-    (vertex bitmasks; ``all_vertices`` has every vertex bit set).  When the
-    sets are faces that include every facet, these are exactly the facets.
-    O(n^2 V) bit operations for n sets over V vertices."""
-    proper = set(vertex_sets) - {0, all_vertices}
-    return {s for s in proper if not any(s != t and s & t == s for t in proper)}
-
-
 def detect_facets(p: Polytope) -> Facets:
     """Group coordinates into facets by their vertex sets.
 
@@ -376,7 +384,8 @@ def detect_facets(p: Polytope) -> Facets:
     if p.vertex_count < 2:
         raise ValueError("facet detection requires dimension >= 1")
     on_coord = p.coordinate_faces
-    facet_sets = maximal_faces(on_coord, (1 << p.vertex_count) - 1)
+    proper = set(on_coord) - {0, (1 << p.vertex_count) - 1}
+    facet_sets = {s for s in proper if not any(s != t and s & t == s for t in proper)}
     groups: dict[int, list[int]] = {}
     for coord, verts in enumerate(on_coord, start=1):
         if verts in facet_sets:
@@ -395,10 +404,7 @@ def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) 
     facet masks.  Computes the facet catalogue when one is not supplied
     (pass ``facets`` when calling repeatedly).
     """
-    p._check_vertex_index(u)
-    p._check_vertex_index(v)
-    if u == v:
-        raise ValueError("complementarity needs two distinct vertices")
+    _check_pair(p.vertex_count, u, v, "complementarity needs two distinct vertices")
     if facets is None:
         facets = detect_facets(p)
     return not facets.masks[u] & facets.masks[v]

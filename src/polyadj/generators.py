@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .core import (
-    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, maximal_faces, rank,
+    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
 )
 
 
@@ -80,14 +80,14 @@ def slack_embed(h: HPolytope) -> Polytope:
 
     Validates what is cheap to check exactly: every vertex satisfies every
     inequality, vertices are distinct and affinely span dimension d, the
-    normals span (a degenerate or unbounded system fails one of these),
-    every row is facet-defining: its tight vertex set is nonempty and
-    maximal among the rows' tight sets (every facet is some row's), found
-    with no rank, and every vertex lies on at least d of those facets, as
-    every vertex of a d-polytope does.  That last check costs one bit test
-    per vertex and facet, and is necessary but not sufficient for the rows
-    to name every facet.  Correctness of the vertex list itself is presumed,
-    as everywhere in this package.
+    normals span (a degenerate or unbounded system fails one of these).
+    Then, on the image's own facet catalogue (no rank): every row's
+    coordinate face is nonempty and a facet, and every vertex lies on at
+    least d facets, as in every d-polytope (necessary, not sufficient, for
+    the rows to name every facet).  Last, the image's dimension must be d;
+    it falls short when the vertices are not those of the rows' polytope.
+    Errors name vertices by their index in ``h``.  Correctness of the vertex
+    list itself is presumed, as everywhere in this package.
     """
     d = h.dim
     # slack j = (g_int * D - c_int . x_int) / (scale * D) for x scaled to ints by D
@@ -110,22 +110,25 @@ def slack_embed(h: HPolytope) -> Polytope:
         raise ValidationError(f"degenerate input: vertices do not span dimension {d}")
     if rank(h.normals) != d:
         raise ValidationError("degenerate input: inequality normals do not span")
-    tight = [sum(1 << k for k, s in enumerate(slacks) if s[j] == 0) for j in range(len(h.normals))]
-    facet_sets = maximal_faces(tight, (1 << len(slacks)) - 1)
-    for j, verts in enumerate(tight):
-        if not verts:
-            raise ValidationError(f"inequality {j} is tight on no vertex")
-        if verts not in facet_sets:
-            raise ValidationError(f"inequality {j} is not facet-defining (tight set not maximal)")
-    for k in range(len(slacks)):
-        on = sum(verts >> k & 1 for verts in facet_sets)
-        if on < d:
-            raise ValidationError(f"vertex {k} lies on {on} < {d} facets: a facet row is missing")
-
     transpose = [[row[i] for row in h.normals] for i in range(d)]
     A = _nullspace(transpose)
     b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
-    return Polytope(A, b, sorted(slacks))
+    order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
+    p = Polytope(A, b, [slacks[k] for k in order])
+    facets = detect_facets(p)
+    for j, verts in enumerate(p.coordinate_faces):
+        if not verts:
+            raise ValidationError(f"inequality {j} is tight on no vertex")
+        if j + 1 in facets.non_facet_coordinates:
+            raise ValidationError(f"inequality {j} is not facet-defining (tight set not maximal)")
+    for k, mask in sorted(zip(order, facets.masks)):
+        on = mask.bit_count()
+        if on < d:
+            raise ValidationError(f"vertex {k} lies on {on} < {d} facets: a facet row is missing")
+    if p.dimension != d:
+        raise ValidationError(f"the faces of the vertices give dimension {p.dimension}, not {d}: "
+                              "they are not the vertex list of the rows")
+    return p
 
 
 # -- fixtures ---------------------------------------------------------------

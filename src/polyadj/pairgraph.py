@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Facets, Polytope, UnsupportedPolytopeError, is_simple
+from .core import Facets, Polytope, UnsupportedPolytopeError, _check_pair, is_simple
 
 
 class PairKind(Enum):
@@ -54,25 +54,21 @@ class PairArc:
 
 def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
     """Node kind of {u, v} by the number of facets containing both."""
-    p._check_vertex_index(u)
-    p._check_vertex_index(v)
-    if u == v:
-        raise ValueError("a pair consists of two distinct vertices")
-    shared = (facets.masks[u] & facets.masks[v]).bit_count()
-    if shared == 0:
-        return PairKind.COMPLEMENTARY
-    if shared == 1:
-        return PairKind.ALMOST_COMPLEMENTARY
-    return PairKind.EXCLUDED
+    return pair_node(p, facets, u, v).kind
 
 
 def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
     """Canonical node (u < v) for the pair, of whatever kind."""
-    kind = classify_pair(p, facets, u, v)
+    _check_pair(p.vertex_count, u, v, "a pair consists of two distinct vertices")
     common = facets.masks[u] & facets.masks[v]
-    facet = common.bit_length() - 1 if kind is PairKind.ALMOST_COMPLEMENTARY else None
-    lo, hi = min(u, v), max(u, v)
-    return PairNode(lo, hi, kind, facet)
+    shared = common.bit_count()
+    if shared == 0:
+        kind, facet = PairKind.COMPLEMENTARY, None
+    elif shared == 1:
+        kind, facet = PairKind.ALMOST_COMPLEMENTARY, common.bit_length() - 1
+    else:
+        kind, facet = PairKind.EXCLUDED, None
+    return PairNode(min(u, v), max(u, v), kind, facet)
 
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
+from polyadj.adjacency import combinatorial_test
 from polyadj.core import (
     Polytope,
     ValidationError,
@@ -438,3 +439,20 @@ def test_facet_queries_need_no_rank(monkeypatch):
             assert classify_pair(p, facets, u, v) is kinds[min(shared, 2)]
         last = p.vertex_count - 1
         assert is_complementary(p, 0, last) == orc.complementary(h, 0, last)
+
+
+def test_face_queries_need_no_zero_set_scan(monkeypatch):
+    # face membership is an AND of coordinate-face bitmasks: no per-vertex
+    # zero-set comparison
+    cases = [(h, slack_embed(h)) for h in (orc.fixture("cube", 4), orc.fixture("truncated_cube"),
+                                           orc.fixture("bipyramid3"))]
+
+    def no_scan(self, other):
+        raise AssertionError("ZeroSet.issuperset called")
+
+    monkeypatch.setattr(ZeroSet, "issuperset", no_scan)
+    for h, p in cases:
+        for u, v in combinations(range(p.vertex_count), 2):
+            join = p.zero_sets[u] & p.zero_sets[v]
+            assert face_vertices(p, join) == list(orc.minimal_face_vertices(h, u, v))
+            assert combinatorial_test(p, u, v) == orc.adjacent(h, u, v)

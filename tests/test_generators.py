@@ -190,6 +190,26 @@ def test_embed_rejects_system_missing_a_facet():
         slack_embed(square_h(normals=((-1, 0), (0, -1), (1, 1)), offsets=(0, 0, 2)))
 
 
+def test_embed_errors_name_vertices_in_input_order():
+    # same rows as above, with (1, 1) listed first: the standard form sorts
+    # it last, and in that sorted order the first vertex on too few facets
+    # is (0, 1); the error must still name input vertex 0
+    with pytest.raises(ValidationError, match="vertex 0 lies on 1 < 2 facets"):
+        slack_embed(square_h(normals=((-1, 0), (0, -1), (1, 1)), offsets=(0, 0, 2),
+                             vertices=((1, 1), (0, 0), (1, 0), (0, 1))))
+
+
+def test_embed_rejects_vertices_of_an_inscribed_tetrahedron():
+    # all 6 rows of cube(3) are tight on two of these four corners each, so
+    # every row is a maximal tight set and every vertex is on 3 of them, yet
+    # the rows' polytope is the cube: the image's faces give dimension 2
+    h = orc.fixture("cube", 3)
+    for corners in (((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
+                    ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))):
+        with pytest.raises(ValidationError, match="dimension 2, not 3"):
+            slack_embed(HPolytope(h.normals, h.offsets, corners))
+
+
 def test_embed_rejects_cube_without_one_facet_row():
     # cube(3) rows are x_i >= 0 then x_i <= 1; drop x1 <= 1 (row 3)
     h = orc.fixture("cube", 3)
