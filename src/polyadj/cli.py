@@ -19,6 +19,10 @@ from .generators import GENERATORS
 from .pairgraph import all_complementary_pairs, disjoint_pairs, second_pair, verify_2d_parity
 
 
+# first match wins; ValidationError is a ValueError
+_EXIT_CODES = ((UnsupportedPolytopeError, 3), ((ValueError, OSError), 2), (RuntimeError, 4))
+
+
 def _load(args: argparse.Namespace) -> Polytope:
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -30,8 +34,12 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
-    p = _load(args)
+def _print_pairs(pairs) -> None:
+    for u, v in pairs:
+        print(f"{u} {v}")
+
+
+def _cmd_info(p: Polytope, args: argparse.Namespace) -> None:
     facets = detect_facets(p)
     print(f"n {p.n}")
     print(f"m {p.m}")
@@ -39,80 +47,50 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"dim {p.dimension}")
     print(f"facets {len(facets)}")
     print(f"simple {_yesno(is_simple(p, facets))}")
-    return 0
 
 
-def _cmd_adjacent(args: argparse.Namespace) -> int:
-    p = _load(args)
-    oracle = precompute(p)
-    verdict, count = fast_verdict(oracle, args.u, args.v)
+def _cmd_adjacent(p: Polytope, args: argparse.Namespace) -> None:
+    verdict, count = fast_verdict(precompute(p), args.u, args.v)
     print(verdict.value.upper())
     print(f"count {count}")
     if verdict is Verdict.INDETERMINATE:
         print("hint: 'graph' settles indeterminate pairs exactly", file=sys.stderr)
-    return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    p = _load(args)
-    for u, v in all_pairs_adjacency(p):
-        print(f"{u} {v}")
-    return 0
+def _cmd_graph(p: Polytope, args: argparse.Namespace) -> None:
+    _print_pairs(all_pairs_adjacency(p))
 
 
-def _cmd_complementary(args: argparse.Namespace) -> int:
-    p = _load(args)
-    facets = detect_facets(p)
-    for u, v in all_complementary_pairs(p, facets):
-        print(f"{u} {v}")
-    return 0
+def _cmd_complementary(p: Polytope, args: argparse.Namespace) -> None:
+    _print_pairs(all_complementary_pairs(p, detect_facets(p)))
 
 
 def _with_graph(p: Polytope):
-    facets = detect_facets(p)
-    neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
-    return facets, neighbors
+    return detect_facets(p), neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
 
 
-def _cmd_second_pair(args: argparse.Namespace) -> int:
-    p = _load(args)
-    facets, neighbors = _with_graph(p)
-    a, b = second_pair(p, facets, neighbors, (args.u, args.v))
-    print(f"{a} {b}")
-    return 0
+def _cmd_second_pair(p: Polytope, args: argparse.Namespace) -> None:
+    _print_pairs([second_pair(p, *_with_graph(p), (args.u, args.v))])
 
 
-def _cmd_disjoint_pairs(args: argparse.Namespace) -> int:
-    p = _load(args)
-    facets, neighbors = _with_graph(p)
-    first, second = disjoint_pairs(p, facets, neighbors, (args.u, args.v))
-    print(f"{first[0]} {first[1]}")
-    print(f"{second[0]} {second[1]}")
-    return 0
+def _cmd_disjoint_pairs(p: Polytope, args: argparse.Namespace) -> None:
+    _print_pairs(disjoint_pairs(p, *_with_graph(p), (args.u, args.v)))
 
 
-def _cmd_parity(args: argparse.Namespace) -> int:
-    p = _load(args)
+def _cmd_parity(p: Polytope, args: argparse.Namespace) -> None:
     report = verify_2d_parity(p, detect_facets(p))
     print(f"facets {report.facet_count}")
     print(f"pairs {report.pair_count}")
     print(f"even {_yesno(report.even)}")
     print(f"pairwise-disjoint {_yesno(report.pairwise_disjoint)}")
-    return 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
     build, takes_dim = GENERATORS[args.name]
-    if takes_dim:
-        if args.dim is None:
-            raise ValueError(f"generator {args.name!r} requires a dimension argument")
-        p = build(args.dim)
-    else:
-        if args.dim is not None:
-            raise ValueError(f"generator {args.name!r} takes no dimension argument")
-        p = build()
-    sys.stdout.write(format_polytope(p))
-    return 0
+    if takes_dim != (args.dim is not None):
+        need = "requires a dimension argument" if takes_dim else "takes no dimension argument"
+        raise ValueError(f"generator {args.name!r} {need}")
+    sys.stdout.write(format_polytope(build(args.dim) if takes_dim else build()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,15 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, pair_args: bool = False, file_arg: bool = True):
+    def add(name: str, func, help_text: str, pair_args: bool = False):
         cmd = sub.add_parser(name, help=help_text)
         if pair_args:
             cmd.add_argument("u", type=int, help="vertex index (0-based)")
             cmd.add_argument("v", type=int, help="vertex index (0-based)")
-        if file_arg:
-            cmd.add_argument("--file", help="polytope file (default: stdin)")
-        cmd.set_defaults(func=func)
-        return cmd
+        cmd.add_argument("--file", help="polytope file (default: stdin)")
+        # every file command takes the loaded polytope
+        cmd.set_defaults(func=lambda args: func(_load(args), args))
 
     add("info", _cmd_info, "size, dimension, facet count, simplicity")
     add("adjacent", _cmd_adjacent, "fast adjacency verdict for a vertex pair", pair_args=True)
@@ -152,16 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UnsupportedPolytopeError as exc:
+        args.func(args)
+        return 0
+    except (UnsupportedPolytopeError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -157,6 +157,19 @@ def rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     return len(_rref(rows)[1])
 
 
+def _chain_length(faces: Sequence[int], count: int) -> int:
+    """Length of the chain of :attr:`Polytope.dimension` over ``count``
+    points and the bitmasks ``faces``."""
+    face = (1 << count) - 1
+    d = 0
+    while True:
+        smaller = [s for s in (face & c for c in faces) if s and s != face]
+        if not smaller:
+            return d
+        face = max(smaller, key=int.bit_count)
+        d += 1
+
+
 def _check_pair(count: int, u: int, v: int, same: str) -> None:
     """Refuse indices outside 0..count - 1, then equal ones, with message ``same``."""
     for k in (u, v):
@@ -252,12 +265,9 @@ class Polytope:
         return self._zero_sets
 
     def zero_set(self, vertex_index: int) -> ZeroSet:
-        self._check_vertex_index(vertex_index)
+        if not 0 <= vertex_index < len(self._vertices):
+            raise ValueError(f"vertex index {vertex_index} out of range 0..{self.vertex_count - 1}")
         return self._zero_sets[vertex_index]
-
-    def _check_vertex_index(self, k: int) -> None:
-        if not 0 <= k < len(self._vertices):
-            raise ValueError(f"vertex index {k} out of range 0..{len(self._vertices) - 1}")
 
     @cached_property
     def coordinate_faces(self) -> tuple[int, ...]:
@@ -276,14 +286,7 @@ class Polytope:
         dimension by one.  O(d n) operations on V-bit ints.  Exact when the
         vertex list is correct and complete; on an incomplete list it can
         fall below the affine rank of the points, never above it."""
-        face = (1 << self.vertex_count) - 1
-        d = 0
-        while True:
-            smaller = [s for s in (face & c for c in self.coordinate_faces) if s and s != face]
-            if not smaller:
-                return d
-            face = max(smaller, key=int.bit_count)
-            d += 1
+        return _chain_length(self.coordinate_faces, self.vertex_count)
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"

@@ -18,49 +18,44 @@ line, rationals in lowest terms.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .core import Polytope, ValidationError
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INTEGER = re.compile(r"[+-]?\d+\Z")
+_Stream = Iterator[tuple[int, str]]  # (line number, token)
 
 
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.items: list[tuple[int, str]] = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                self.items.append((line_no, tok))
-        self.pos = 0
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
-            raise ValidationError(f"unexpected end of input: expected {what}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+def _tokens(text: str) -> _Stream:
+    """Every token outside comments, in order, with its line number."""
+    return iter([(line_no, tok) for line_no, line in enumerate(text.splitlines(), start=1)
+                 for tok in line.split("#", 1)[0].split()])
 
 
-def _integer(tokens: _Tokens, what: str) -> int:
-    line, tok = tokens.next(what)
+def _take(tokens: _Stream, what: str) -> tuple[int, str]:
+    item = next(tokens, None)
+    if item is None:
+        raise ValidationError(f"unexpected end of input: expected {what}")
+    return item
+
+
+def _integer(tokens: _Stream, what: str) -> int:
+    line, tok = _take(tokens, what)
     if not _INTEGER.match(tok):
         raise ValidationError(f"line {line}: expected integer for {what}, got {tok!r}")
     return int(tok)
 
 
-def _literal(tokens: _Tokens, word: str) -> None:
-    line, tok = tokens.next(f"section marker {word!r}")
+def _literal(tokens: _Stream, word: str) -> None:
+    line, tok = _take(tokens, f"section marker {word!r}")
     if tok != word:
         raise ValidationError(f"line {line}: expected section marker {word!r}, got {tok!r}")
 
 
-def _rational(tokens: _Tokens, what: str) -> Fraction:
-    line, tok = tokens.next(what)
+def _rational(tokens: _Stream, what: str) -> Fraction:
+    line, tok = _take(tokens, what)
     if not _RATIONAL.match(tok):
         raise ValidationError(f"line {line}: malformed rational for {what}: {tok!r}")
     if "/" in tok:
@@ -73,7 +68,7 @@ def _rational(tokens: _Tokens, what: str) -> Fraction:
 
 def parse_polytope(text: str) -> Polytope:
     """Parse and validate; raises ValidationError with line diagnostics."""
-    tokens = _Tokens(text)
+    tokens = _tokens(text)
     n = _integer(tokens, "coordinate count n")
     m = _integer(tokens, "equality row count m")
     v_count = _integer(tokens, "vertex count V")
@@ -96,9 +91,9 @@ def parse_polytope(text: str) -> Polytope:
         [_rational(tokens, f"vertex {k} coordinate {i + 1}") for i in range(n)]
         for k in range(v_count)
     ]
-    if not tokens.exhausted():
-        line, tok = tokens.next("")
-        raise ValidationError(f"line {line}: trailing input starting at {tok!r}")
+    extra = next(tokens, None)
+    if extra is not None:
+        raise ValidationError(f"line {extra[0]}: trailing input starting at {extra[1]!r}")
     return Polytope(A, b, verts)
 
 

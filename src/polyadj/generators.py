@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import product
 
 from .core import (
-    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
+    Polytope, ValidationError, _chain_length, _integral, _rref, _sparse_row, as_fraction,
+    detect_facets, rank,
 )
 
 
@@ -81,6 +82,9 @@ def slack_embed(h: HPolytope) -> Polytope:
     Validates what is cheap to check exactly: every vertex satisfies every
     inequality, vertices are distinct and affinely span dimension d, the
     normals span (a degenerate or unbounded system fails one of these).
+    The span is decided by the image's chain of faces, which never exceeds
+    the affine rank; a rank of the vertex list runs only to word a refusal,
+    and the normals' rank is read off the nullspace that gives ``A``.
     Then, on the image's own facet catalogue (no rank): every row's
     coordinate face is nonempty and a facet, and every vertex lies on at
     least d facets, as in every d-polytope (necessary, not sufficient, for
@@ -105,13 +109,15 @@ def slack_embed(h: HPolytope) -> Polytope:
     if len(set(h.vertices)) != len(h.vertices):
         raise ValidationError("duplicate vertices")
 
+    tight = [sum(1 << k for k, row in enumerate(slacks) if not row[j]) for j in range(len(rows))]
+    chain = _chain_length(tight, len(slacks))  # the image's dimension
     base = h.vertices[0]
-    if rank([[x - y for x, y in zip(v, base)] for v in h.vertices[1:]]) != d:
+    if chain < d and rank([[x - y for x, y in zip(v, base)] for v in h.vertices[1:]]) != d:
         raise ValidationError(f"degenerate input: vertices do not span dimension {d}")
-    if rank(h.normals) != d:
-        raise ValidationError("degenerate input: inequality normals do not span")
     transpose = [[row[i] for row in h.normals] for i in range(d)]
     A = _nullspace(transpose)
+    if len(h.normals) - len(A) != d:  # the normals' rank: one basis vector per free column
+        raise ValidationError("degenerate input: inequality normals do not span")
     b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
     order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
     p = Polytope(A, b, [slacks[k] for k in order])
@@ -125,8 +131,8 @@ def slack_embed(h: HPolytope) -> Polytope:
         on = mask.bit_count()
         if on < d:
             raise ValidationError(f"vertex {k} lies on {on} < {d} facets: a facet row is missing")
-    if p.dimension != d:
-        raise ValidationError(f"the faces of the vertices give dimension {p.dimension}, not {d}: "
+    if chain != d:
+        raise ValidationError(f"the faces of the vertices give dimension {chain}, not {d}: "
                               "they are not the vertex list of the rows")
     return p
 

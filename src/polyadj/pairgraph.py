@@ -162,6 +162,15 @@ def _walk_forward(
     return cur
 
 
+def _complementary_start(p: Polytope, facets: Facets, start: tuple[int, int]) -> PairNode:
+    """Node of the sorted walk start; refused unless complementary."""
+    u, v = sorted(start)
+    node = pair_node(p, facets, u, v)
+    if node.kind is not PairKind.COMPLEMENTARY:
+        raise ValueError(f"pair {node.pair} is not complementary")
+    return node
+
+
 def second_pair(
     p: Polytope, facets: Facets, neighbors: list[list[int]], start: tuple[int, int]
 ) -> tuple[int, int]:
@@ -171,11 +180,8 @@ def second_pair(
     by its lowest-indexed neighbor, then follow the two-arc rule forward.
     """
     _require_walkable(p, facets)
-    u, v = sorted(start)
-    start_node = pair_node(p, facets, u, v)
-    if start_node.kind is not PairKind.COMPLEMENTARY:
-        raise ValueError(f"pair {start_node.pair} is not complementary")
-    first = pair_node(p, facets, min(neighbors[u]), v)
+    start_node = _complementary_start(p, facets, start)
+    first = pair_node(p, facets, min(neighbors[start_node.u]), start_node.v)
     found = _walk_forward(p, facets, neighbors, start_node, first)
     if found.pair == start_node.pair:
         raise RuntimeError("walk returned to its starting pair")
@@ -193,10 +199,7 @@ def disjoint_pairs(
     {z_i, v}.
     """
     _require_walkable(p, facets)
-    u, v = sorted(start)
-    if classify_pair(p, facets, u, v) is not PairKind.COMPLEMENTARY:
-        raise ValueError(f"pair {(u, v)} is not complementary")
-
+    u, v = _complementary_start(p, facets, start).pair
     path = _shortest_path(neighbors, u, v)
     shared = [facets.masks[z] & facets.masks[v] for z in path]
     pivot = next((i for i in range(len(path) - 1) if not shared[i] and shared[i + 1]), None)
@@ -250,17 +253,11 @@ def verify_2d_parity(p: Polytope, facets: Facets) -> ParityReport:
     """
     d = _require_walkable(p, facets)
     pairs = all_complementary_pairs(p, facets)
-    used: set[int] = set()
-    disjoint = True
-    for a, b in pairs:
-        if a in used or b in used:
-            disjoint = False
-        used.update((a, b))
     report = ParityReport(
         facet_count=len(facets),
         pair_count=len(pairs),
         even=len(pairs) % 2 == 0,
-        pairwise_disjoint=disjoint,
+        pairwise_disjoint=len({w for pair in pairs for w in pair}) == 2 * len(pairs),
     )
     if len(facets) == 2 * d and not (report.even and report.pairwise_disjoint):
         raise RuntimeError(

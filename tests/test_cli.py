@@ -56,6 +56,16 @@ def test_info_every_generator(capsys):
         capsys.readouterr()
 
 
+def test_gen_never_reads_stdin(capsys, monkeypatch):
+    class Unreadable:
+        def read(self):
+            raise AssertionError("gen read stdin")
+
+    monkeypatch.setattr("sys.stdin", Unreadable())
+    code, out, _ = run(capsys, "gen", "cube", "2")
+    assert code == 0 and out == format_polytope(cube(2))
+
+
 def test_adjacent_verdicts(capsys, cube3_file):
     code, out, err = run(capsys, "adjacent", "0", "1", "--file", cube3_file)
     assert (code, out) == (0, "ADJACENT\ncount 1\n")

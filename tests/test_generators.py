@@ -210,6 +210,33 @@ def test_embed_rejects_vertices_of_an_inscribed_tetrahedron():
             slack_embed(HPolytope(h.normals, h.offsets, corners))
 
 
+def test_embed_needs_no_vertex_rank(monkeypatch):
+    # the image's chain of faces proves the span on every valid input, so
+    # the vertex-difference rank runs only to word a refusal
+    expected = {(name, d): slack_embed(orc.fixture(name, d)).vertices
+                for name, dims in (("cube", range(1, 6)), ("simplex", range(1, 6)),
+                                   ("prism3", [None]), ("bipyramid3", [None]),
+                                   ("truncated_cube", [None]))
+                for d in dims}
+
+    def refuse(matrix):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr("polyadj.generators.rank", refuse)
+    for (name, d), vertices in expected.items():
+        assert slack_embed(orc.fixture(name, d)).vertices == vertices
+
+
+def test_embed_keeps_first_error_when_chain_undercounts():
+    # cube(3) without row 0 (x0 >= 0) on four corners that span dimension 3:
+    # their faces give a chain of only 2, yet the first error is still the
+    # facet check, as when the span was decided by a rank alone
+    h = orc.fixture("cube", 3)
+    corners = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1))
+    with pytest.raises(ValidationError, match="inequality 2 is not facet-defining"):
+        slack_embed(HPolytope(h.normals[1:], h.offsets[1:], corners))
+
+
 def test_embed_rejects_cube_without_one_facet_row():
     # cube(3) rows are x_i >= 0 then x_i <= 1; drop x1 <= 1 (row 3)
     h = orc.fixture("cube", 3)

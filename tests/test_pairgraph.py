@@ -212,6 +212,16 @@ def test_walk_argument_errors():
         second_pair(p, facets, neighbors, (0, 11))
 
 
+def test_walk_start_range_error_names_lower_index():
+    # the start is sorted before its range check, so with both indices out
+    # of range the error names the lower one
+    p = cube(2)
+    facets, neighbors = graph_inputs(p)
+    for walk in (second_pair, disjoint_pairs):
+        with pytest.raises(ValueError, match=r"vertex index -2 out of range 0\.\.3"):
+            walk(p, facets, neighbors, (-1, -2))
+
+
 def test_walk_stops_at_first_repeated_pair(monkeypatch):
     # a broken pair graph whose forced walk cycles a -> b -> c -> a: the walk
     # raises when it reaches a again instead of running on
