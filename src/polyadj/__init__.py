@@ -1,100 +1,15 @@
 """Exact vertex-adjacency oracles and complementary-pair search for
 polytopes in standard form {x : Ax = b, x >= 0}."""
 
-from .adjacency import (
-    AdjacencyOracle,
-    Verdict,
-    algebraic_test,
-    all_pairs_adjacency,
-    combinatorial_test,
-    fast_test,
-    neighbor_lists,
-    precompute,
-)
-from .core import (
-    Facet,
-    Facets,
-    Polytope,
-    UnsupportedPolytopeError,
-    ValidationError,
-    ZeroSet,
-    detect_facets,
-    face_dimension,
-    face_vertices,
-    is_complementary,
-    is_simple,
-    rank,
-)
-from .fileio import format_polytope, parse_polytope
-from .generators import (
-    HPolytope,
-    bipyramid3,
-    cube,
-    prism3,
-    simplex,
-    slack_embed,
-    truncated_cube,
-)
-from .joinmap import JoinMap, build_join_map
-from .pairgraph import (
-    PairArc,
-    PairKind,
-    PairNode,
-    ParityReport,
-    all_complementary_pairs,
-    arcs_from,
-    classify_pair,
-    disjoint_pairs,
-    pair_node,
-    second_pair,
-    to_dot,
-    verify_2d_parity,
-)
+from . import adjacency, core, fileio, generators, joinmap, pairgraph
+from .adjacency import *
+from .core import *
+from .fileio import *
+from .generators import *
+from .joinmap import *
+from .pairgraph import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyOracle",
-    "Facet",
-    "Facets",
-    "HPolytope",
-    "JoinMap",
-    "PairArc",
-    "PairKind",
-    "PairNode",
-    "ParityReport",
-    "Polytope",
-    "UnsupportedPolytopeError",
-    "ValidationError",
-    "Verdict",
-    "ZeroSet",
-    "algebraic_test",
-    "all_complementary_pairs",
-    "all_pairs_adjacency",
-    "arcs_from",
-    "bipyramid3",
-    "build_join_map",
-    "classify_pair",
-    "combinatorial_test",
-    "cube",
-    "detect_facets",
-    "disjoint_pairs",
-    "face_dimension",
-    "face_vertices",
-    "fast_test",
-    "format_polytope",
-    "is_complementary",
-    "is_simple",
-    "neighbor_lists",
-    "pair_node",
-    "parse_polytope",
-    "precompute",
-    "prism3",
-    "rank",
-    "second_pair",
-    "simplex",
-    "slack_embed",
-    "to_dot",
-    "truncated_cube",
-    "verify_2d_parity",
-]
+__all__ = sorted(adjacency.__all__ + core.__all__ + fileio.__all__ + generators.__all__
+                 + joinmap.__all__ + pairgraph.__all__)

@@ -14,6 +14,9 @@ from enum import Enum
 from .core import Polytope, _check_pair, face_dimension, face_vertices
 from .joinmap import JoinMap, build_join_map
 
+__all__ = ["AdjacencyOracle", "Verdict", "algebraic_test", "all_pairs_adjacency",
+           "combinatorial_test", "fast_test", "neighbor_lists", "precompute"]
+
 
 class Verdict(Enum):
     ADJACENT = "adjacent"
@@ -22,7 +25,8 @@ class Verdict(Enum):
 
 
 class AdjacencyOracle:
-    """Frozen scan products: join map, dimension, simplicity, zero sets."""
+    """Scan products of :func:`precompute` (join map, dimension, simplicity,
+    zero sets) in plain ``__slots__`` fields: reassignable, not frozen."""
 
     __slots__ = ("join_map", "dim", "simple", "zero_sets")
 

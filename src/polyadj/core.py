@@ -22,6 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+__all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
+           "ZeroSet", "detect_facets", "face_dimension", "face_vertices", "is_complementary",
+           "is_simple", "rank"]
+
 
 class ValidationError(ValueError):
     """Input data violates the standard-form polytope contract."""

@@ -23,6 +23,8 @@ from fractions import Fraction
 
 from .core import Polytope, ValidationError
 
+__all__ = ["format_polytope", "parse_polytope"]
+
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INTEGER = re.compile(r"[+-]?\d+\Z")
 _Stream = Iterator[tuple[int, str]]  # (line number, token)

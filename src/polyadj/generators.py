@@ -22,6 +22,9 @@ from .core import (
     detect_facets, rank,
 )
 
+__all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
+           "truncated_cube"]
+
 
 @dataclass(frozen=True)
 class HPolytope:
@@ -94,22 +97,23 @@ def slack_embed(h: HPolytope) -> Polytope:
     list itself is presumed, as everywhere in this package.
     """
     d = h.dim
-    # slack j = (g_int * D - c_int . x_int) / (scale * D) for x scaled to ints by D
+    # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
     rows = [_sparse_row(c, g) for c, g in zip(h.normals, h.offsets)]
-    slacks = []
+    slacks, tight = [], [0] * len(rows)  # tight[j]: bitmask of the vertices on row j
     for k, x in enumerate(h.vertices):
         D, xs = _integral(x)
         row = []
         for j, (scale, terms, g) in enumerate(rows):
-            s = Fraction(g * D - sum(ci * xs[i] for i, ci in terms), scale * D)
+            s = g * D - sum(ci * xs[i] for i, ci in terms)
             if s < 0:
-                raise ValidationError(f"vertex {k} violates inequality {j} by {-s}")
-            row.append(s)
+                raise ValidationError(
+                    f"vertex {k} violates inequality {j} by {Fraction(-s, scale * D)}")
+            tight[j] |= (s == 0) << k
+            row.append(Fraction(s, scale * D))
         slacks.append(tuple(row))
     if len(set(h.vertices)) != len(h.vertices):
         raise ValidationError("duplicate vertices")
 
-    tight = [sum(1 << k for k, row in enumerate(slacks) if not row[j]) for j in range(len(rows))]
     chain = _chain_length(tight, len(slacks))  # the image's dimension
     base = h.vertices[0]
     if chain < d and rank([[x - y for x, y in zip(v, base)] for v in h.vertices[1:]]) != d:

@@ -20,6 +20,8 @@ from collections.abc import Iterator
 
 from .core import Polytope, ZeroSet
 
+__all__ = ["JoinMap", "build_join_map"]
+
 
 def _parting_depth(a: int, b: int) -> int:
     """Depth at which the trie paths of subsets ``a != b`` part."""

@@ -24,6 +24,10 @@ from enum import Enum
 
 from .core import Facets, Polytope, UnsupportedPolytopeError, _check_pair, is_simple
 
+__all__ = ["PairArc", "PairKind", "PairNode", "ParityReport", "all_complementary_pairs",
+           "arcs_from", "classify_pair", "disjoint_pairs", "pair_node", "second_pair", "to_dot",
+           "verify_2d_parity"]
+
 
 class PairKind(Enum):
     # values double as the short node labels in DOT dumps
