@@ -4,14 +4,16 @@ A polytope is handed to us as ``{x in R^n : Ax = b, x >= 0}`` together with
 the complete list of its vertices.  Nonnegativity constraints double as the
 face structure: the set of coordinates that vanish on a face determines the
 face, so most questions reduce to bit operations on per-vertex zero sets.
-Facets come from those zero sets alone, with no rank, in O(n^2 V) bit
-operations, and are kept as one facet bitmask per vertex; the dimension is
-a chain of coordinate faces, also with no rank.
+Facets come from those zero sets alone, with no rank, in O(n^2 V + n V^2)
+bit operations, and are kept as one facet bitmask per vertex; the dimension
+is a chain of coordinate faces, also with no rank.
 
 Inputs and results are exact rationals (:class:`fractions.Fraction`), so
 zero tests, ranks and face dimensions are exact; validation runs on rows
-and vertices scaled to ints by the lcm of their denominators.  Objects are
-immutable after construction and safe to share between threads for reads.
+and vertices scaled to ints by the lcm of their denominators.  A Polytope,
+ZeroSet or Facet never changes once built, so threads may share it for
+reads.  A ``Facets`` catalogue can (``pairgraph`` notes walk checks on it),
+and so can an ``AdjacencyOracle`` and a ``JoinMap`` until it is frozen.
 """
 
 from __future__ import annotations
@@ -161,19 +163,6 @@ def rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     return len(_rref(rows)[1])
 
 
-def _chain_length(faces: Sequence[int], count: int) -> int:
-    """Length of the chain of :attr:`Polytope.dimension` over ``count``
-    points and the bitmasks ``faces``."""
-    face = (1 << count) - 1
-    d = 0
-    while True:
-        smaller = [s for s in (face & c for c in faces) if s and s != face]
-        if not smaller:
-            return d
-        face = max(smaller, key=int.bit_count)
-        d += 1
-
-
 def _check_pair(count: int, u: int, v: int, same: str) -> None:
     """Refuse indices outside 0..count - 1, then equal ones, with message ``same``."""
     for k in (u, v):
@@ -290,7 +279,14 @@ class Polytope:
         dimension by one.  O(d n) operations on V-bit ints.  Exact when the
         vertex list is correct and complete; on an incomplete list it can
         fall below the affine rank of the points, never above it."""
-        return _chain_length(self.coordinate_faces, self.vertex_count)
+        face = (1 << self.vertex_count) - 1
+        d = 0
+        while True:
+            smaller = [s for s in (face & c for c in self.coordinate_faces) if s and s != face]
+            if not smaller:
+                return d
+            face = max(smaller, key=int.bit_count)
+            d += 1
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
@@ -362,10 +358,8 @@ class Facets(Sequence[Facet]):
     def __len__(self) -> int:
         return len(self._coordinates)
 
-    def __getitem__(self, i):  # type: ignore[override]
+    def __getitem__(self, i: int) -> Facet:  # type: ignore[override]
         f = range(len(self))[i]
-        if isinstance(f, range):
-            return tuple(self[k] for k in f)
         vertices = frozenset(w for w, mask in enumerate(self.masks) if mask >> f & 1)
         return Facet(f, self._coordinates[f], vertices)
 
@@ -376,6 +370,8 @@ class Facets(Sequence[Facet]):
 
     def of_vertex(self, vertex_index: int) -> frozenset[int]:
         """Ids of the facets containing the given vertex."""
+        if not 0 <= vertex_index < len(self.masks):
+            raise ValueError(f"vertex index {vertex_index} out of range 0..{len(self.masks) - 1}")
         return self.ids(self.masks[vertex_index])
 
 
@@ -385,11 +381,8 @@ def detect_facets(p: Polytope) -> Facets:
     Every facet of a standard-form polytope is some ``{x_i = 0}``, so the
     facets are the maximal proper, nonempty coordinate faces; coordinates
     with identical vertex sets name the same facet and are merged.  Vertex
-    incidences only, no rank: O(n^2 V) bit operations.  Requires dim P >= 1
-    (two or more vertices).
+    incidences only, no rank: O(n^2 V + n V^2) bit operations.
     """
-    if p.vertex_count < 2:
-        raise ValueError("facet detection requires dimension >= 1")
     on_coord = p.coordinate_faces
     proper = set(on_coord) - {0, (1 << p.vertex_count) - 1}
     facet_sets = {s for s in proper if not any(s != t and s & t == s for t in proper)}
@@ -420,8 +413,6 @@ def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) 
 def is_simple(p: Polytope, facets: Facets | None = None) -> bool:
     """True when every vertex lies on exactly dim P facets."""
     d = p.dimension
-    if d == 0:
-        return True
     if facets is None:
         facets = detect_facets(p)
     return all(mask.bit_count() == d for mask in facets.masks)

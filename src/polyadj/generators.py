@@ -18,8 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .core import (
-    Polytope, ValidationError, _chain_length, _integral, _rref, _sparse_row, as_fraction,
-    detect_facets, rank,
+    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
 )
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
@@ -85,9 +84,9 @@ def slack_embed(h: HPolytope) -> Polytope:
     Validates what is cheap to check exactly: every vertex satisfies every
     inequality, vertices are distinct and affinely span dimension d, the
     normals span (a degenerate or unbounded system fails one of these).
-    The span is decided by the image's chain of faces, which never exceeds
-    the affine rank; a rank of the vertex list runs only to word a refusal,
-    and the normals' rank is read off the nullspace that gives ``A``.
+    The normals' rank is read off the nullspace that gives ``A``.  When they
+    span, the image's own ``dimension``, never above the affine rank, decides
+    the vertices' span; a rank of the vertex list only words a refusal.
     Then, on the image's own facet catalogue (no rank): every row's
     coordinate face is nonempty and a facet, and every vertex lies on at
     least d facets, as in every d-polytope (necessary, not sufficient, for
@@ -99,7 +98,7 @@ def slack_embed(h: HPolytope) -> Polytope:
     d = h.dim
     # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
     rows = [_sparse_row(c, g) for c, g in zip(h.normals, h.offsets)]
-    slacks, tight = [], [0] * len(rows)  # tight[j]: bitmask of the vertices on row j
+    slacks = []
     for k, x in enumerate(h.vertices):
         D, xs = _integral(x)
         row = []
@@ -108,23 +107,22 @@ def slack_embed(h: HPolytope) -> Polytope:
             if s < 0:
                 raise ValidationError(
                     f"vertex {k} violates inequality {j} by {Fraction(-s, scale * D)}")
-            tight[j] |= (s == 0) << k
             row.append(Fraction(s, scale * D))
         slacks.append(tuple(row))
     if len(set(h.vertices)) != len(h.vertices):
         raise ValidationError("duplicate vertices")
 
-    chain = _chain_length(tight, len(slacks))  # the image's dimension
-    base = h.vertices[0]
-    if chain < d and rank([[x - y for x, y in zip(v, base)] for v in h.vertices[1:]]) != d:
+    A = _nullspace([[row[i] for row in h.normals] for i in range(d)])
+    spans = len(h.normals) - len(A) == d  # the normals' rank: one basis vector per free column
+    if spans:  # distinct vertices then have distinct slacks, and the image is valid
+        b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
+        order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
+        p = Polytope(A, b, [slacks[k] for k in order])
+    if (not spans or p.dimension < d) and rank(
+            [[x - y for x, y in zip(v, h.vertices[0])] for v in h.vertices[1:]]) != d:
         raise ValidationError(f"degenerate input: vertices do not span dimension {d}")
-    transpose = [[row[i] for row in h.normals] for i in range(d)]
-    A = _nullspace(transpose)
-    if len(h.normals) - len(A) != d:  # the normals' rank: one basis vector per free column
+    if not spans:
         raise ValidationError("degenerate input: inequality normals do not span")
-    b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
-    order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
-    p = Polytope(A, b, [slacks[k] for k in order])
     facets = detect_facets(p)
     for j, verts in enumerate(p.coordinate_faces):
         if not verts:
@@ -135,8 +133,8 @@ def slack_embed(h: HPolytope) -> Polytope:
         on = mask.bit_count()
         if on < d:
             raise ValidationError(f"vertex {k} lies on {on} < {d} facets: a facet row is missing")
-    if chain != d:
-        raise ValidationError(f"the faces of the vertices give dimension {chain}, not {d}: "
+    if p.dimension != d:
+        raise ValidationError(f"the faces of the vertices give dimension {p.dimension}, not {d}: "
                               "they are not the vertex list of the rows")
     return p
 

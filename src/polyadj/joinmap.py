@@ -69,9 +69,7 @@ class JoinMap:
         count = self.lookup(s)
         if count:
             return count, self.depth + 1
-        if not self._joins:
-            return 0, 0
-        return 0, max(_parting_depth(s.bits, bits) for bits in self._joins) + 1
+        return 0, max((_parting_depth(s.bits, bits) for bits in self._joins), default=-1) + 1
 
     @property
     def pair_total(self) -> int:

@@ -128,8 +128,8 @@ def arcs_from(
 
 
 def all_complementary_pairs(p: Polytope, facets: Facets) -> list[tuple[int, int]]:
-    """All pairs sharing no facet, ascending. Works for any polytope with
-    dim >= 1; simplicity is not needed for this count."""
+    """All pairs sharing no facet, ascending. Works for any polytope;
+    simplicity is not needed for this count."""
     masks = facets.masks
     return [(u, v) for u, mu in enumerate(masks) for v in range(u + 1, len(masks))
             if not mu & masks[v]]

@@ -49,6 +49,12 @@ def test_info_from_file(capsys, cube3_file):
     assert out == CUBE3_INFO
 
 
+def test_info_on_a_point(capsys, monkeypatch):
+    # one vertex: dimension 0, no facets, simple
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 1\nA\nb\nvertices\n0\n"))
+    assert run(capsys, "info") == (0, "n 1\nm 0\nvertices 1\ndim 0\nfacets 0\nsimple yes\n", "")
+
+
 def test_info_every_generator(capsys):
     for argv in (["gen", "simplex", "4"], ["gen", "prism3"], ["gen", "bipyramid3"],
                  ["gen", "truncated_cube"]):

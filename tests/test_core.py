@@ -329,6 +329,13 @@ def test_cube3_facets():
         assert len(facets.of_vertex(w)) == 3
 
 
+def test_of_vertex_refuses_out_of_range_index():
+    facets = detect_facets(cube(2))
+    for w in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex index {w} out of range 0..3"):
+            facets.of_vertex(w)
+
+
 def test_facets_match_oracle_on_fixtures():
     for name, d in [("cube", 2), ("cube", 4), ("simplex", 4), ("prism3", None),
                     ("bipyramid3", None), ("truncated_cube", None)]:
@@ -360,9 +367,13 @@ def test_dead_coordinate_is_not_a_facet():
     assert is_complementary(p, 0, 1, facets)
 
 
-def test_detect_facets_needs_dimension():
-    with pytest.raises(ValueError, match="dimension >= 1"):
-        detect_facets(POINT)
+def test_point_has_no_facets():
+    # no coordinate face of a point is proper and nonempty
+    facets = detect_facets(POINT)
+    assert len(facets) == 0 and list(facets) == []
+    assert facets.non_facet_coordinates == (1,)
+    assert facets.masks == (0,) and facets.of_vertex(0) == frozenset()
+    assert is_simple(POINT, facets)
 
 
 def test_triangular_bipyramid_has_six_facets():

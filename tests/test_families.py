@@ -1,5 +1,5 @@
 """The main theorem on the benchmark's scalable families, against their own
-combinatorial oracles.
+combinatorial oracles, and on vertex truncations, against brute force.
 
 ``perfbench/workloads.py`` builds dual cyclic polytopes and prism products
 from their inequalities without importing polyadj, and derives edges and
@@ -9,13 +9,17 @@ factor-wise products).  It is loaded read-only, by path.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
-from polyadj.core import detect_facets
+import oracles as orc
+from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
+from polyadj.core import UnsupportedPolytopeError, detect_facets
 from polyadj.generators import HPolytope, slack_embed
 from polyadj.pairgraph import (
     PairKind,
@@ -33,10 +37,17 @@ wl = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = wl  # dataclasses look their module up while building
 _spec.loader.exec_module(wl)
 
-# family, complementary-pair count (C_d(2d)*: 2, 2, 6, 6, 20 for d = 2..6)
+# family, complementary-pair count (C_d(2d)*: 2, 2, 6, 6, 20, 20 for d = 2..7)
 FAMILIES = {f"dual_cyclic({d})": (lambda d=d: wl.dual_cyclic(d), count)
-            for d, count in zip(range(2, 7), (2, 2, 6, 6, 20))}
+            for d, count in zip(range(2, 8), (2, 2, 6, 6, 20, 20))}
 FAMILIES["dual_cyclic(3) x cube(2)"] = (lambda: wl.prism_product(wl.dual_cyclic(3), wl.cube(2)), 8)
+
+
+def _embed(f):
+    """Image of family ``f`` and, for each image vertex, its label in ``f``."""
+    p = slack_embed(HPolytope(f.normals, f.offsets, f.vertices))
+    label = {wl.slack(f, x): k for k, x in enumerate(f.vertices)}
+    return p, [label[v] for v in p.vertices]
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
@@ -44,9 +55,7 @@ def embedded(request):
     """(family, image, facets, neighbors, image label -> family label, pair count)."""
     build, count = FAMILIES[request.param]
     f = build()
-    p = slack_embed(HPolytope(f.normals, f.offsets, f.vertices))
-    label = {wl.slack(f, x): k for k, x in enumerate(f.vertices)}
-    to_family = [label[v] for v in p.vertices]
+    p, to_family = _embed(f)
     neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
     return f, p, detect_facets(p), neighbors, to_family, count
 
@@ -85,6 +94,28 @@ def test_parity_law(embedded):
 
 def test_arc_counts_on_every_node(embedded):
     f, p, facets, neighbors, to_family, count = embedded
+    _check_arcs(p, facets, neighbors)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_non_simple_products_take_the_fallback(k):
+    # bipyramid3 x cube(k): equator vertices lie on 4 + k facets
+    f = wl.prism_product(wl.bipyramid3(), wl.cube(k))
+    p, to_family = _embed(f)
+    facets = detect_facets(p)
+    assert _relabel(all_pairs_adjacency(p), to_family) == f.edges
+    pairs = all_complementary_pairs(p, facets)
+    assert _relabel(pairs, to_family) == f.complementary
+    assert not precompute(p).simple
+    neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
+    for walk in (second_pair, disjoint_pairs):
+        with pytest.raises(UnsupportedPolytopeError, match="simple"):
+            walk(p, facets, neighbors, pairs[0])
+    with pytest.raises(UnsupportedPolytopeError, match="simple"):
+        verify_2d_parity(p, facets)
+
+
+def _check_arcs(p, facets, neighbors):
     d = p.dimension
     for u, v in combinations(range(p.vertex_count), 2):
         node = pair_node(p, facets, u, v)
@@ -96,3 +127,49 @@ def test_arc_counts_on_every_node(embedded):
             assert (len(arcs), len(sets)) == (2 * d, 2 * d)
         else:
             assert (len(arcs), len(sets)) == (2, 1)
+
+
+# -- vertex truncations -------------------------------------------------------
+
+STARTS = {"cube(3)": ("cube", 3), "simplex(3)": ("simplex", 3), "prism3": ("prism3", None)}
+
+
+def _truncate(h: HPolytope, u: int) -> HPolytope:
+    """Cut vertex ``u`` off ``h`` by the plane through the points at t = 1/3
+    along its edges; on a simple polytope that plane separates ``u`` from
+    every other vertex, so the cut adds one facet and d vertices."""
+    x = h.vertices[u]
+    cuts = [tuple(a + (b - a) / 3 for a, b in zip(x, h.vertices[w]))
+            for pair in orc.edges(h) if u in pair for w in pair if w != u]
+    assert len(cuts) == h.dim
+    rows = [[sympy.Rational(str(a - b)) for a, b in zip(q, cuts[0])] for q in cuts[1:]]
+    (normal,) = sympy.Matrix(rows).nullspace()
+    c = [Fraction(int(e.p), int(e.q)) for e in normal]
+    gamma = sum(a * b for a, b in zip(c, cuts[0]))
+    if sum(a * b for a, b in zip(c, x)) < gamma:  # orient so that u is cut off
+        c, gamma = [-a for a in c], -gamma
+    verts = [v for k, v in enumerate(h.vertices) if k != u] + cuts
+    return HPolytope((*h.normals, tuple(c)), (*h.offsets, gamma), tuple(verts))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(STARTS)), st.lists(st.integers(0, 99), min_size=1, max_size=3))
+def test_main_theorem_on_vertex_truncations(start, picks):
+    h = orc.fixture(*STARTS[start])
+    for pick in picks:
+        h = _truncate(h, pick % len(h.vertices))
+    h = orc.sorted_by_slack(h)  # vertex k of h is vertex k of the image
+    p = slack_embed(h)
+    facets = detect_facets(p)
+    edges = all_pairs_adjacency(p)
+    pairs = all_complementary_pairs(p, facets)
+    assert edges == orc.edges(h)
+    assert pairs == orc.complementary_pairs(h)
+    neighbors = neighbor_lists(p.vertex_count, edges)
+    for start_pair in pairs:
+        found = second_pair(p, facets, neighbors, start_pair)
+        assert found != start_pair and found in pairs
+        first, second = disjoint_pairs(p, facets, neighbors, start_pair)
+        assert first in pairs and second in pairs
+        assert len({*first, *second}) == 4
+    _check_arcs(p, facets, neighbors)

@@ -1,4 +1,10 @@
-"""The public surface: each name is declared once, in the module that defines it."""
+"""The public surface: each name is declared once, in the module that defines
+it, and the README's library example gives the values it states."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
 
 import polyadj
 from polyadj import adjacency, core, fileio, generators, joinmap, pairgraph
@@ -33,3 +39,21 @@ def test_package_reexports_exactly_the_module_lists():
     namespace = {}
     exec("from polyadj import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+
+
+def test_readme_library_example():
+    # each expression line with a trailing comment states the str() of its value
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    scope, checked = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in comments:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)
+            checked.append((str(value), comments[node.end_lineno]))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    assert checked == [(want, want) for want in
+                       ("Verdict.ADJACENT", "[(0, 7), (1, 6), (2, 5), (3, 4)]", "(1, 6)")]
