@@ -15,7 +15,7 @@ import sys
 from .adjacency import Verdict, all_pairs_adjacency, fast_verdict, neighbor_lists, precompute
 from .core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
 from .fileio import format_polytope, parse_polytope
-from .generators import GENERATORS
+from .generators import _GENERATORS
 from .pairgraph import all_complementary_pairs, disjoint_pairs, second_pair, verify_2d_parity
 
 
@@ -86,7 +86,7 @@ def _cmd_parity(p: Polytope, args: argparse.Namespace) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
-    build, takes_dim = GENERATORS[args.name]
+    build, takes_dim = _GENERATORS[args.name]
     if takes_dim != (args.dim is not None):
         need = "requires a dimension argument" if takes_dim else "takes no dimension argument"
         raise ValueError(f"generator {args.name!r} {need}")
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "two complementary pairs with four distinct vertices", pair_args=True)
     add("parity", _cmd_parity, "complementary-pair count and disjointness report")
     gen = sub.add_parser("gen", help="emit a built-in polytope as a file")
-    gen.add_argument("name", choices=sorted(GENERATORS), help="generator name")
+    gen.add_argument("name", choices=sorted(_GENERATORS), help="generator name")
     gen.add_argument("dim", type=int, nargs="?", help="dimension, where the generator takes one")
     gen.set_defaults(func=_cmd_gen)
     return parser

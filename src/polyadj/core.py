@@ -18,15 +18,16 @@ and so can an ``AdjacencyOracle`` and a ``JoinMap`` until it is frozen.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
-           "ZeroSet", "detect_facets", "face_dimension", "face_vertices", "is_complementary",
-           "is_simple", "rank"]
+           "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "face_vertices",
+           "is_complementary", "is_simple", "rank"]
 
 
 class ValidationError(ValueError):
@@ -48,6 +49,22 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending: O(popcount) steps."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The bit table ``rows`` by columns: bit r of entry c is bit c of ``rows[r]``."""
+    cols = [0] * width
+    for r, row in enumerate(rows):
+        for c in _bits(row):
+            cols[c] |= 1 << r
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -85,12 +102,9 @@ class ZeroSet:
             bits |= 1 << (i - 1)
         return cls(width, bits)
 
-    def _check_width(self, other: "ZeroSet") -> None:
+    def __and__(self, other: "ZeroSet") -> "ZeroSet":
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
-    def __and__(self, other: "ZeroSet") -> "ZeroSet":
-        self._check_width(other)
         return ZeroSet(self.width, self.bits & other.bits)
 
     def __contains__(self, index: int) -> bool:
@@ -100,11 +114,10 @@ class ZeroSet:
         return self.bits.bit_count()
 
     def issuperset(self, other: "ZeroSet") -> bool:
-        self._check_width(other)
-        return other.bits & ~self.bits == 0
+        return self & other == other
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.width) if self.bits >> i & 1)
+        return tuple(i + 1 for i in _bits(self.bits))
 
     def __repr__(self) -> str:
         inner = "{" + ",".join(map(str, self.indices())) + "}"
@@ -266,10 +279,7 @@ class Polytope:
     def coordinate_faces(self) -> tuple[int, ...]:
         """Vertex set of each coordinate face, as a bitmask: bit w of entry i
         is set when coordinate i + 1 vanishes on vertex w."""
-        return tuple(
-            sum(1 << w for w, z in enumerate(self._zero_sets) if z.bits >> i & 1)
-            for i in range(self.n)
-        )
+        return _transpose([z.bits for z in self._zero_sets], self.n)
 
     @cached_property
     def dimension(self) -> int:
@@ -296,31 +306,23 @@ def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """Indices of vertices on the face where every coordinate in ``s`` vanishes.
 
     Ascending order. Empty when no vertex satisfies ``s``.  An AND of the
-    coordinate faces of the |s| coordinates in ``s``, then O(V) to list it.
+    coordinate faces of the |s| coordinates in ``s``, then O(k) for k vertices.
     """
     if s.width != p.n:
         raise ValueError(f"zero set width {s.width} does not match n={p.n}")
     faces = p.coordinate_faces
     verts = (1 << p.vertex_count) - 1
-    bits = s.bits
-    while bits and verts:
-        low = bits & -bits
-        verts &= faces[low.bit_length() - 1]
-        bits ^= low
-    return [w for w in range(verts.bit_length()) if verts >> w & 1]
-
-
-def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Affine dimension of nonempty ``points``: O(k n^2) for k points."""
-    return rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]])
+    for i in _bits(s.bits):
+        verts &= faces[i]
+    return list(_bits(verts))
 
 
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     """Dimension of the face selected by ``s``; None for the empty face."""
-    verts = face_vertices(p, s)
+    verts = [p.vertices[w] for w in face_vertices(p, s)]
     if not verts:
         return None
-    return _affine_rank([p.vertices[w] for w in verts])
+    return rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])
 
 
 @dataclass(frozen=True)
@@ -336,10 +338,11 @@ class Facet:
     vertex_indices: frozenset[int]
 
 
-class Facets(Sequence[Facet]):
+class Facets:
     """Facet catalogue of a polytope, with per-vertex facet memberships.
 
-    Sequence of :class:`Facet`, ordered by smallest defining coordinate.
+    ``facets[f]`` builds :class:`Facet` f, ids in order of smallest defining
+    coordinate; it reads like a tuple of facets but takes only an int index.
     Membership is held only in ``masks``: bit f of ``masks[w]`` is set when
     vertex w lies on facet f; ``Facet`` objects and id sets are built from it.
     Coordinates whose zero locus is no facet are ``non_facet_coordinates``.
@@ -358,8 +361,8 @@ class Facets(Sequence[Facet]):
     def __len__(self) -> int:
         return len(self._coordinates)
 
-    def __getitem__(self, i: int) -> Facet:  # type: ignore[override]
-        f = range(len(self))[i]
+    def __getitem__(self, i: int) -> Facet:
+        f = range(len(self))[operator.index(i)]
         vertices = frozenset(w for w, mask in enumerate(self.masks) if mask >> f & 1)
         return Facet(f, self._coordinates[f], vertices)
 
@@ -391,10 +394,7 @@ def detect_facets(p: Polytope) -> Facets:
         if verts in facet_sets:
             groups.setdefault(verts, []).append(coord)
     non_facets = [c for c, verts in enumerate(on_coord, start=1) if verts not in facet_sets]
-    masks = [
-        sum(1 << f for f, verts in enumerate(groups) if verts >> w & 1)
-        for w in range(p.vertex_count)
-    ]
+    masks = _transpose(list(groups), p.vertex_count)
     coordinates = [ZeroSet.of_indices(p.n, coords) for coords in groups.values()]
     return Facets(coordinates, non_facets, masks)
 

@@ -230,7 +230,7 @@ def truncated_cube() -> Polytope:
 
 
 # name -> (constructor, takes a dimension argument)
-GENERATORS: dict[str, tuple[object, bool]] = {
+_GENERATORS: dict[str, tuple[object, bool]] = {
     "cube": (cube, True),
     "simplex": (simplex, True),
     "prism3": (prism3, False),

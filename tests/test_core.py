@@ -336,6 +336,18 @@ def test_of_vertex_refuses_out_of_range_index():
             facets.of_vertex(w)
 
 
+def test_facets_read_like_a_tuple_with_int_indices_only():
+    facets = detect_facets(cube(2))
+    assert [f.id for f in facets] == [0, 1, 2, 3]
+    assert facets[-1] == facets[3] and facets[0] in facets
+    assert list(reversed(facets)) == [facets[f] for f in (3, 2, 1, 0)]
+    with pytest.raises(IndexError):
+        facets[4]
+    for bad in (slice(0, 2), 1.0):
+        with pytest.raises(TypeError, match=f"'{type(bad).__name__}' object cannot be"):
+            facets[bad]
+
+
 def test_facets_match_oracle_on_fixtures():
     for name, d in [("cube", 2), ("cube", 4), ("simplex", 4), ("prism3", None),
                     ("bipyramid3", None), ("truncated_cube", None)]:

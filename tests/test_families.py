@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
-from polyadj.core import UnsupportedPolytopeError, detect_facets
+from polyadj.core import UnsupportedPolytopeError, detect_facets, is_simple
 from polyadj.generators import HPolytope, slack_embed
 from polyadj.pairgraph import (
     PairKind,
@@ -113,6 +113,43 @@ def test_non_simple_products_take_the_fallback(k):
             walk(p, facets, neighbors, pairs[0])
     with pytest.raises(UnsupportedPolytopeError, match="simple"):
         verify_2d_parity(p, facets)
+
+
+def _simplex(a):
+    """The simplex x >= 0, sum x <= 1 in R^a.  Every vertex pair is an edge,
+    and each vertex misses one of the a + 1 facets, so only the segment
+    (a = 1) has a complementary pair."""
+    zero, one = (Fraction(0),) * a, (Fraction(1),) * a
+    unit = tuple(zero[:i] + one[:1] + zero[i + 1:] for i in range(a))
+    normals = tuple(tuple(-x for x in e) for e in unit) + (one,)
+    return wl.Family(f"simplex{a}", normals, zero + one[:1], (zero, *unit),
+                     frozenset(combinations(range(a + 1), 2)),
+                     frozenset({(0, 1)} if a == 1 else ()), True, a + 1)
+
+
+# a square, then n = 8 coordinates fixed while V grows 12 -> 15 -> 16
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 5), (2, 4), (3, 3)])
+def test_simplex_products(a, b):
+    f = wl.prism_product(_simplex(a), _simplex(b))
+    p, to_family = _embed(f)
+    facets = detect_facets(p)
+    edges = all_pairs_adjacency(p)
+    pairs = all_complementary_pairs(p, facets)
+    assert (p.n, p.vertex_count) == (a + b + 2, (a + 1) * (b + 1))
+    assert _relabel(edges, to_family) == f.edges
+    assert _relabel(pairs, to_family) == f.complementary
+    assert len(pairs) == (2 if a == b == 1 else 0)
+    assert (len(facets), p.dimension) == (a + b + 2, a + b)
+    assert is_simple(p, facets) and precompute(p).simple
+    report = verify_2d_parity(p, facets)
+    assert (report.facet_count, report.pair_count) == (a + b + 2, len(pairs))
+    assert report.even and report.pairwise_disjoint
+    neighbors = neighbor_lists(p.vertex_count, edges)
+    _check_arcs(p, facets, neighbors)
+    for start in pairs:  # the square's two diagonals
+        other = next(q for q in pairs if q != start)
+        assert second_pair(p, facets, neighbors, start) == other
+        assert sorted(disjoint_pairs(p, facets, neighbors, start)) == pairs
 
 
 def _check_arcs(p, facets, neighbors):

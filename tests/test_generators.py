@@ -7,7 +7,7 @@ import pytest
 import oracles as orc
 from polyadj.core import ValidationError, detect_facets, is_simple
 from polyadj.generators import (
-    GENERATORS,
+    _GENERATORS,
     HPolytope,
     bipyramid3,
     cube,
@@ -107,10 +107,10 @@ def test_generator_argument_errors():
 
 
 def test_registry():
-    assert set(GENERATORS) == {"cube", "simplex", "prism3", "bipyramid3", "truncated_cube"}
-    build, takes_dim = GENERATORS["cube"]
+    assert set(_GENERATORS) == {"cube", "simplex", "prism3", "bipyramid3", "truncated_cube"}
+    build, takes_dim = _GENERATORS["cube"]
     assert takes_dim and build(2).vertex_count == 4
-    build, takes_dim = GENERATORS["prism3"]
+    build, takes_dim = _GENERATORS["prism3"]
     assert not takes_dim
 
 

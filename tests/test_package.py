@@ -15,11 +15,12 @@ PUBLIC = [
     "AdjacencyOracle", "Facet", "Facets", "HPolytope", "JoinMap", "PairArc", "PairKind",
     "PairNode", "ParityReport", "Polytope", "UnsupportedPolytopeError", "ValidationError",
     "Verdict", "ZeroSet", "algebraic_test", "all_complementary_pairs", "all_pairs_adjacency",
-    "arcs_from", "bipyramid3", "build_join_map", "classify_pair", "combinatorial_test", "cube",
-    "detect_facets", "disjoint_pairs", "face_dimension", "face_vertices", "fast_test",
-    "format_polytope", "is_complementary", "is_simple", "neighbor_lists", "pair_node",
-    "parse_polytope", "precompute", "prism3", "rank", "second_pair", "simplex", "slack_embed",
-    "to_dot", "truncated_cube", "verify_2d_parity",
+    "arcs_from", "as_fraction", "bipyramid3", "build_join_map", "classify_pair",
+    "combinatorial_test", "cube", "detect_facets", "disjoint_pairs", "face_dimension",
+    "face_vertices", "fast_test", "fast_verdict", "format_polytope", "is_complementary",
+    "is_simple", "neighbor_lists", "pair_node", "parse_polytope", "precompute", "prism3",
+    "rank", "second_pair", "simplex", "slack_embed", "to_dot", "truncated_cube",
+    "verify_2d_parity",
 ]
 
 
