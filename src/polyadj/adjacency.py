@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Polytope, _check_pair, face_dimension, face_vertices
+from .core import Polytope, _affine_dimension, _bits, _check_pair, _face
 from .joinmap import JoinMap, build_join_map
 
 __all__ = ["AdjacencyOracle", "Verdict", "algebraic_test", "all_pairs_adjacency",
@@ -25,16 +25,20 @@ class Verdict(Enum):
 
 
 class AdjacencyOracle:
-    """Scan products of :func:`precompute` (join map, dimension, simplicity,
-    zero sets) in plain ``__slots__`` fields: reassignable, not frozen."""
+    """Scan products of :func:`precompute` (join map, dimension, simplicity)
+    and their polytope in plain ``__slots__`` fields: reassignable, not frozen."""
 
-    __slots__ = ("join_map", "dim", "simple", "zero_sets")
+    __slots__ = ("join_map", "dim", "simple", "polytope")
 
-    def __init__(self, join_map: JoinMap, dim: int, simple: bool, zero_sets) -> None:
+    def __init__(self, join_map: JoinMap, dim: int, simple: bool, polytope: Polytope) -> None:
         self.join_map = join_map
         self.dim = dim
         self.simple = simple
-        self.zero_sets = zero_sets
+        self.polytope = polytope
+
+    @property
+    def zero_sets(self):
+        return self.polytope.zero_sets
 
     def __repr__(self) -> str:
         return f"AdjacencyOracle(dim={self.dim}, simple={self.simple})"
@@ -54,7 +58,7 @@ def precompute(p: Polytope) -> AdjacencyOracle:
         partners[u] += 1
         partners[v] += 1
     simple = all(k == d for k in partners)
-    return AdjacencyOracle(jm, d, simple, p.zero_sets)
+    return AdjacencyOracle(jm, d, simple, p)
 
 
 def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]:
@@ -64,8 +68,9 @@ def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]
     certify an edge, so it maps to INDETERMINATE; any other count is a
     sound NON_ADJACENT.
     """
-    _check_pair(len(oracle.zero_sets), u, v, "adjacency needs two distinct vertices")
-    c = oracle.join_map.lookup(oracle.zero_sets[u] & oracle.zero_sets[v])
+    bits = oracle.polytope._zero_bits
+    _check_pair(len(bits), u, v, "adjacency needs two distinct vertices")
+    c = oracle.join_map.lookup(bits[u] & bits[v])
     if c == 1:
         return (Verdict.ADJACENT if oracle.simple else Verdict.INDETERMINATE), c
     return Verdict.NON_ADJACENT, c
@@ -82,7 +87,7 @@ def combinatorial_test(p: Polytope, u: int, v: int) -> bool:
     face is an AND of the coordinate-face bitmasks of their common zeros:
     O(n) operations on V-bit ints, plus O(k) to list its k vertices."""
     _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
-    return len(face_vertices(p, p.zero_sets[u] & p.zero_sets[v])) == 2
+    return _face(p, p._zero_bits[u] & p._zero_bits[v]).bit_count() == 2
 
 
 def algebraic_test(p: Polytope, u: int, v: int) -> bool:
@@ -90,7 +95,7 @@ def algebraic_test(p: Polytope, u: int, v: int) -> bool:
     dimension 1. Collects that face as for :func:`combinatorial_test`, then
     ranks its k vertices exactly in O(k n^2)."""
     _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
-    return face_dimension(p, p.zero_sets[u] & p.zero_sets[v]) == 1
+    return _affine_dimension(p, _bits(_face(p, p._zero_bits[u] & p._zero_bits[v]))) == 1
 
 
 def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> list[tuple[int, int]]:

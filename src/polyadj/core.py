@@ -4,6 +4,8 @@ A polytope is handed to us as ``{x in R^n : Ax = b, x >= 0}`` together with
 the complete list of its vertices.  Nonnegativity constraints double as the
 face structure: the set of coordinates that vanish on a face determines the
 face, so most questions reduce to bit operations on per-vertex zero sets.
+Those are kept as plain ``int`` masks, and every query works on them;
+:class:`ZeroSet` is a checked view of one, built only where a caller asks.
 Facets come from those zero sets alone, with no rank, in O(n^2 V + n V^2)
 bit operations, and are kept as one facet bitmask per vertex; the dimension
 is a chain of coordinate faces, also with no rank.
@@ -220,11 +222,13 @@ class Polytope:
         # row . v == b_j  iff  sum(c * x) == b_int * D  for v scaled to ints by D
         equalities = [_sparse_row(row, rj)[1:] for row, rj in zip(rows, rhs)]
         seen: dict[tuple[int, ...], int] = {}
+        zero_bits = []
         for k, v in enumerate(verts):
             scale, xs = _integral(v)
             for i, x in enumerate(xs):
                 if x < 0:
                     raise ValidationError(f"vertex {k}: coordinate {i + 1} is negative ({v[i]})")
+            zero_bits.append(sum(1 << i for i, x in enumerate(xs) if x == 0))
             for j, (terms, bj) in enumerate(equalities):
                 if sum(c * xs[i] for i, c in terms) != bj * scale:
                     lhs = sum(c * x for c, x in zip(rows[j], v))
@@ -240,7 +244,7 @@ class Polytope:
         self._A = rows
         self._b = rhs
         self._vertices = verts
-        self._zero_sets = tuple(ZeroSet.of_point(v) for v in verts)
+        self._zero_bits = tuple(zero_bits)  # ZeroSet.bits of each vertex
 
     @property
     def A(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -266,20 +270,20 @@ class Polytope:
     def vertex_count(self) -> int:
         return len(self._vertices)
 
-    @property
+    @cached_property
     def zero_sets(self) -> tuple[ZeroSet, ...]:
-        return self._zero_sets
+        return tuple(ZeroSet(self.n, bits) for bits in self._zero_bits)
 
     def zero_set(self, vertex_index: int) -> ZeroSet:
         if not 0 <= vertex_index < len(self._vertices):
             raise ValueError(f"vertex index {vertex_index} out of range 0..{self.vertex_count - 1}")
-        return self._zero_sets[vertex_index]
+        return self.zero_sets[vertex_index]
 
     @cached_property
     def coordinate_faces(self) -> tuple[int, ...]:
         """Vertex set of each coordinate face, as a bitmask: bit w of entry i
         is set when coordinate i + 1 vanishes on vertex w."""
-        return _transpose([z.bits for z in self._zero_sets], self.n)
+        return _transpose(self._zero_bits, self.n)
 
     @cached_property
     def dimension(self) -> int:
@@ -302,6 +306,21 @@ class Polytope:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
 
 
+def _face(p: Polytope, bits: int) -> int:
+    """Vertex bitmask of the face where the coordinates set in ``bits`` vanish; no width check."""
+    faces = p.coordinate_faces
+    verts = (1 << p.vertex_count) - 1
+    for i in _bits(bits):
+        verts &= faces[i]
+    return verts
+
+
+def _affine_dimension(p: Polytope, ws: Iterable[int]) -> int | None:
+    """Affine dimension of the vertices ``ws``; None when there are none."""
+    points = [p.vertices[w] for w in ws]
+    return rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]]) if points else None
+
+
 def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """Indices of vertices on the face where every coordinate in ``s`` vanishes.
 
@@ -310,19 +329,12 @@ def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """
     if s.width != p.n:
         raise ValueError(f"zero set width {s.width} does not match n={p.n}")
-    faces = p.coordinate_faces
-    verts = (1 << p.vertex_count) - 1
-    for i in _bits(s.bits):
-        verts &= faces[i]
-    return list(_bits(verts))
+    return list(_bits(_face(p, s.bits)))
 
 
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     """Dimension of the face selected by ``s``; None for the empty face."""
-    verts = [p.vertices[w] for w in face_vertices(p, s)]
-    if not verts:
-        return None
-    return rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]])
+    return _affine_dimension(p, face_vertices(p, s))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import groupby
 
 from .core import Polytope, ValidationError
 
@@ -36,10 +37,31 @@ def _tokens(text: str) -> _Stream:
                  for tok in line.split("#", 1)[0].split()])
 
 
+class _Misaligned(ValidationError):
+    """The input ran out early or ran on, so some row may hold the wrong count."""
+
+
+def _ragged_row(text: str, n: int, m: int, v_count: int) -> str:
+    """Names the first of the m A rows and V vertex rows whose line does not
+    hold n entries; a line holding a section marker starts a section."""
+    sections = {"A": ("A row", m), "b": (None, 0), "vertices": ("vertex", v_count)}
+    label, rows, k = None, 0, 0
+    for line, items in groupby(_tokens(text), key=lambda item: item[0]):
+        toks = [tok for _, tok in items]
+        markers = [tok for tok in toks if tok in sections]
+        if markers:
+            (label, rows), k = sections[markers[-1]], 0
+        elif k < rows:
+            if len(toks) != n:
+                return f"; line {line} holds {len(toks)} entries for {label} {k}, expected {n}"
+            k += 1
+    return ""
+
+
 def _take(tokens: _Stream, what: str) -> tuple[int, str]:
     item = next(tokens, None)
     if item is None:
-        raise ValidationError(f"unexpected end of input: expected {what}")
+        raise _Misaligned(f"unexpected end of input: expected {what}")
     return item
 
 
@@ -81,21 +103,24 @@ def parse_polytope(text: str) -> Polytope:
     if v_count < 1:
         raise ValidationError(f"vertex count must be at least 1, got {v_count}")
 
-    _literal(tokens, "A")
-    A = [
-        [_rational(tokens, f"A row {j} entry {i}") for i in range(n)]
-        for j in range(m)
-    ]
-    _literal(tokens, "b")
-    b = [_rational(tokens, f"b entry {j}") for j in range(m)]
-    _literal(tokens, "vertices")
-    verts = [
-        [_rational(tokens, f"vertex {k} coordinate {i + 1}") for i in range(n)]
-        for k in range(v_count)
-    ]
-    extra = next(tokens, None)
-    if extra is not None:
-        raise ValidationError(f"line {extra[0]}: trailing input starting at {extra[1]!r}")
+    try:
+        _literal(tokens, "A")
+        A = [
+            [_rational(tokens, f"A row {j} entry {i}") for i in range(n)]
+            for j in range(m)
+        ]
+        _literal(tokens, "b")
+        b = [_rational(tokens, f"b entry {j}") for j in range(m)]
+        _literal(tokens, "vertices")
+        verts = [
+            [_rational(tokens, f"vertex {k} coordinate {i + 1}") for i in range(n)]
+            for k in range(v_count)
+        ]
+        extra = next(tokens, None)
+        if extra is not None:
+            raise _Misaligned(f"line {extra[0]}: trailing input starting at {extra[1]!r}")
+    except _Misaligned as exc:
+        raise ValidationError(f"{exc}{_ragged_row(text, n, m, v_count)}") from None
     return Polytope(A, b, verts)
 
 

@@ -57,10 +57,13 @@ class JoinMap:
         self._check(s)
         self._joins.setdefault(s.bits, [0, None, None])[0] += 1
 
-    def lookup(self, s: ZeroSet) -> int:
-        """Count of pairs stored under exactly ``s`` (0 when absent)."""
-        self._check(s)
-        entry = self._joins.get(s.bits)
+    def lookup(self, s: ZeroSet | int) -> int:
+        """Count of pairs stored under exactly ``s`` (0 when absent); ``s`` may
+        be the raw ``bits`` of a subset, which are taken without a width check."""
+        if type(s) is not int:
+            self._check(s)
+            s = s.bits
+        entry = self._joins.get(s)
         return entry[0] if entry else 0
 
     def probe(self, s: ZeroSet) -> tuple[int, int]:
@@ -135,7 +138,7 @@ def build_join_map(p: Polytope) -> JoinMap:
     """
     jm = JoinMap(p.n)
     joins = jm._joins
-    zs = [z.bits for z in p.zero_sets]
+    zs = p._zero_bits
     for u, zu in enumerate(zs):
         for v in range(u + 1, len(zs)):
             key = zu & zs[v]

@@ -11,6 +11,7 @@ from polyadj.adjacency import (
     all_pairs_adjacency,
     combinatorial_test,
     fast_test,
+    fast_verdict,
     neighbor_lists,
     precompute,
 )
@@ -181,3 +182,47 @@ def test_scan_products_need_no_lookup(monkeypatch):
         edges = all_pairs_adjacency(p, o)
         assert edges == orc.edges(h) and len(edges) == edge_count
         assert all_pairs_adjacency(p) == edges
+
+
+def test_pair_queries_build_no_zero_set(monkeypatch):
+    # after precompute, every pair query runs on the polytope's int zero-set
+    # masks; ZeroSet objects are built only where a caller asks for one
+    cases = []
+    for name, d in (("cube", 3), ("prism3", None), ("bipyramid3", None), ("truncated_cube", None)):
+        p = slack_embed(orc.fixture(name, d))
+        o = precompute(p)
+        pairs = list(combinations(range(p.vertex_count), 2))
+        pairs += [(v, u) for u, v in pairs]
+        cases.append((p, o, pairs))
+
+    def answers(p, o, pairs):
+        return [(fast_verdict(o, u, v), fast_test(o, u, v), combinatorial_test(p, u, v),
+                 algebraic_test(p, u, v)) for u, v in pairs]
+
+    want = [answers(*case) for case in cases]
+
+    def no_zero_set(self):
+        raise AssertionError("ZeroSet built")
+
+    monkeypatch.setattr(ZeroSet, "__post_init__", no_zero_set)
+    assert [answers(*case) for case in cases] == want
+
+
+def test_oracle_reads_one_polytope():
+    # the zero sets and the masks a query reads both come from the oracle's
+    # polytope, so reassigning its fields leaves nothing stale
+    p, q = cube(3), prism3()
+    o, other = precompute(p), precompute(q)
+    assert o.polytope is p and o.zero_sets is p.zero_sets
+    o.join_map = build_join_map(p)
+    assert [fast_verdict(o, 0, v) for v in range(1, 8)] == [
+        (Verdict.ADJACENT, 1), (Verdict.ADJACENT, 1), (Verdict.NON_ADJACENT, 2),
+        (Verdict.ADJACENT, 1), (Verdict.NON_ADJACENT, 2), (Verdict.NON_ADJACENT, 2),
+        (Verdict.NON_ADJACENT, 4),
+    ]
+    o.join_map, o.polytope = other.join_map, q
+    assert o.zero_sets is q.zero_sets
+    for u, v in combinations(range(q.vertex_count), 2):
+        assert fast_verdict(o, u, v) == fast_verdict(other, u, v)
+    with pytest.raises(ValueError, match=r"vertex index 6 out of range 0\.\.5"):
+        fast_verdict(o, 0, 6)

@@ -227,6 +227,18 @@ def test_cube3_zero_sets_match_hand_enumeration():
     assert [z.indices() for z in p.zero_sets] == CUBE3_ZERO_SETS
 
 
+def test_zero_sets_are_built_once_at_the_api_edge():
+    fixtures = [("cube", d) for d in (2, 3, 4)] + [("simplex", d) for d in (2, 3, 4)]
+    fixtures += [(name, None) for name in ("prism3", "bipyramid3", "truncated_cube",
+                                           "bipyramid_simplex4")]
+    for name, d in fixtures:
+        p = slack_embed(orc.fixture(name, d))
+        assert type(p.zero_sets) is tuple
+        assert p.zero_sets == tuple(ZeroSet.of_point(v) for v in p.vertices), name
+        assert all(type(z) is ZeroSet for z in p.zero_sets)
+        assert all(p.zero_set(k) is p.zero_sets[k] for k in range(p.vertex_count))
+
+
 def test_zero_set_index_errors():
     p = cube(3)
     with pytest.raises(ValueError, match="out of range"):

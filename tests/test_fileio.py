@@ -83,6 +83,34 @@ def test_parse_errors_name_the_spot():
         parse_polytope("2 -1 1\nA\nb\nvertices\n1 0\n")
 
 
+def test_parse_errors_name_a_ragged_row():
+    lines = CUBE2_FILE.splitlines(keepends=True)
+    extra = "".join(lines[:7] + ["9 " + lines[7]] + lines[8:])
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(extra)
+    assert str(err.value) == ("line 11: trailing input starting at '0'; "
+                              "line 8 holds 5 entries for vertex 0, expected 4")
+    missing = "".join(lines[:7] + ["0 1 1\n"] + lines[8:])
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(missing)
+    assert str(err.value) == ("unexpected end of input: expected vertex 3 coordinate 4; "
+                              "line 8 holds 3 entries for vertex 0, expected 4")
+    # a ragged A row with the rest made up below it
+    short_a = CUBE2_FILE.replace("1 0 1 0\n0 1 0 1", "1 0 1\n0 0 1 0 1")
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(short_a + "9")
+    assert str(err.value) == ("line 12: trailing input starting at '9'; "
+                              "line 3 holds 3 entries for A row 0, expected 4")
+    # rows past the last one, and every other error, are worded as before
+    for text, message in ((CUBE2_FILE + "\n9", "line 13: trailing input starting at '9'"),
+                          ("4 2 4\nA\n1 0 1 0\n",
+                           "unexpected end of input: expected A row 1 entry 0"),
+                          ("4 2", "unexpected end of input: expected vertex count V")):
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == message
+
+
 def test_parse_rejects_invalid_polytopes():
     bad_vertex = CUBE2_FILE.replace("1 1 0 0", "1 1 0 5")
     with pytest.raises(ValidationError, match="vertex 3: equality row 1"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyadj.core import Polytope, ZeroSet
-from polyadj.generators import cube
+from polyadj.generators import cube, prism3
 from polyadj.joinmap import JoinMap, build_join_map
 
 # worked three-coordinate example: multiset of subsets with these counts
@@ -104,6 +104,20 @@ def test_width_and_depth_errors():
         jm.lookup(ZeroSet(2, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         JoinMap(-1)
+
+
+def test_lookup_takes_raw_bits():
+    for p in (cube(3), prism3()):
+        jm = build_join_map(p)
+        stored = {z.bits for z, _ in jm.items()}
+        assert 0 < len(stored) < 1 << p.n  # both stored and absent keys below
+        for bits in range(1 << p.n):
+            assert jm.lookup(bits) == jm.lookup(ZeroSet(p.n, bits))
+            assert (jm.lookup(bits) > 0) == (bits in stored)
+        assert jm.lookup(1 << p.n) == jm.lookup(-1) == 0  # no width check on raw bits
+        with pytest.raises(ValueError) as err:
+            jm.lookup(ZeroSet(p.n + 1, 0))
+        assert str(err.value) == f"zero set width {p.n + 1} does not match depth {p.n}"
 
 
 def test_freeze_blocks_writes():
