@@ -4,12 +4,14 @@ Polytope input comes from stdin or --file; diagnostics go to stderr.
 Exit codes: 0 success, 2 validation or argument error, 3 unsupported
 polytope (an operation that needs simplicity got a non-simple input),
 4 internal invariant violated (a walk or the parity law failed, which a
-correct and complete vertex list cannot cause).
+correct and complete vertex list cannot cause), 141 standard output closed
+early (the reader of a pipe went away; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .adjacency import Verdict, all_pairs_adjacency, fast_verdict, neighbor_lists, precompute
@@ -130,7 +132,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:  # the reader left; devnull keeps the last flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell reports for a tool killed by SIGPIPE
     except (UnsupportedPolytopeError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

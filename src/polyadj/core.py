@@ -11,11 +11,12 @@ bit operations, and are kept as one facet bitmask per vertex; the dimension
 is a chain of coordinate faces, also with no rank.
 
 Inputs and results are exact rationals (:class:`fractions.Fraction`), so
-zero tests, ranks and face dimensions are exact; validation runs on rows
-and vertices scaled to ints by the lcm of their denominators.  A Polytope,
-ZeroSet or Facet never changes once built, so threads may share it for
-reads.  A ``Facets`` catalogue can (``pairgraph`` notes walk checks on it),
-and so can an ``AdjacencyOracle`` and a ``JoinMap`` until it is frozen.
+zero tests, ranks and face dimensions are exact; a Polytope holds and
+validates rows and vertices scaled to ints by the lcm of their denominators,
+and builds its ``Fraction`` tuples on first read.  A Polytope, ZeroSet or
+Facet never changes in value once built, so threads may share it for reads.
+A ``Facets`` catalogue can (``pairgraph`` notes walk checks on it), and so
+can an ``AdjacencyOracle`` and a ``JoinMap`` until it is frozen.
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ class ZeroSet:
         return f"ZeroSet({inner}, width={self.width})"
 
 
-def _integral(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integral(row: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     """``(scale, ints)``: the lcm of the denominators of ``row`` and the row
     times that scale, as ints."""
     scale = lcm(*(x.denominator for x in row))
-    return scale, [x.numerator * (scale // x.denominator) for x in row]
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
 def _sparse_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[int, list[tuple[int, int]], int]:
@@ -191,9 +192,13 @@ class Polytope:
     """Bounded polytope ``{x : Ax = b, x >= 0}`` with its complete vertex list.
 
     Construction validates every vertex exactly (equalities hold, coordinates
-    nonnegative, vertices pairwise distinct) and caches per-vertex zero sets.
+    nonnegative, vertices pairwise distinct) and computes per-vertex zero sets.
     The algorithms here presume the vertex list is correct and complete;
     boundedness and extremality of the listed points are not re-derived.
+    Only ints are stored, each row of ``A``, ``b`` and each vertex as ``(scale,
+    ints)``; ``A``, ``b``, ``vertices`` and ``zero_sets`` are built on first
+    read and cached.  Two threads may both build one, of equal value, so
+    threads may still share a Polytope for reads.
     """
 
     def __init__(
@@ -218,64 +223,75 @@ class Polytope:
         rhs = tuple(as_fraction(x) for x in b)
         if len(rhs) != len(rows):
             raise ValidationError(f"b has {len(rhs)} entries for {len(rows)} equality rows")
+        vars(self).update(A=rows, b=rhs, vertices=verts)  # seed the caches
+        self._adopt(map(_integral, rows), _integral(rhs), map(_integral, verts))
 
-        # row . v == b_j  iff  sum(c * x) == b_int * D  for v scaled to ints by D
-        equalities = [_sparse_row(row, rj)[1:] for row, rj in zip(rows, rhs)]
-        seen: dict[tuple[int, ...], int] = {}
-        zero_bits = []
-        for k, v in enumerate(verts):
-            scale, xs = _integral(v)
-            for i, x in enumerate(xs):
-                if x < 0:
-                    raise ValidationError(f"vertex {k}: coordinate {i + 1} is negative ({v[i]})")
-            zero_bits.append(sum(1 << i for i, x in enumerate(xs) if x == 0))
-            for j, (terms, bj) in enumerate(equalities):
-                if sum(c * xs[i] for i, c in terms) != bj * scale:
-                    lhs = sum(c * x for c, x in zip(rows[j], v))
+    @classmethod
+    def _of_ints(cls, rows, rhs, points, trusted: bool = False) -> Polytope:
+        """The polytope on rows of ``A``, ``b`` and vertices already scaled to
+        ints; validated as by the constructor (each vertex on the least scale
+        that makes it integral) unless ``trusted``: proven valid by the caller."""
+        p = cls.__new__(cls)
+        p._adopt(rows, rhs, points, trusted)
+        return p
+
+    def _adopt(self, rows, rhs, points, trusted: bool = False) -> None:
+        self._rows, self._rhs, self._points = tuple(rows), rhs, tuple(points)
+        if not trusted:
+            # row . v == b_j  iff  sum(c * R * x) == b_int * S * D: row, b, v scaled by S, R, D
+            R, bs = rhs
+            equalities = [([(i, c * R) for i, c in enumerate(ints) if c], bj * S)
+                          for (S, ints), bj in zip(self._rows, bs)]
+            seen: dict[tuple[int, tuple[int, ...]], int] = {}
+            for k, point in enumerate(self._points):
+                scale, xs = point
+                if min(xs) < 0:
+                    i = next(i for i, x in enumerate(xs) if x < 0)
                     raise ValidationError(
-                        f"vertex {k}: equality row {j} gives {lhs}, expected {rhs[j]}"
-                    )
-            key = (scale, *xs)  # equal points have equal reduced scalings
-            dup = seen.get(key)
-            if dup is not None:
-                raise ValidationError(f"vertices {dup} and {k} are identical")
-            seen[key] = k
+                        f"vertex {k}: coordinate {i + 1} is negative ({self.vertices[k][i]})")
+                for j, (terms, bj) in enumerate(equalities):
+                    if sum(c * xs[i] for i, c in terms) != bj * scale:
+                        lhs = sum(c * x for c, x in zip(self.A[j], self.vertices[k]))
+                        raise ValidationError(
+                            f"vertex {k}: equality row {j} gives {lhs}, expected {self.b[j]}"
+                        )
+                dup = seen.setdefault(point, k)  # equal points have equal reduced scalings
+                if dup != k:
+                    raise ValidationError(f"vertices {dup} and {k} are identical")
+        self._zero_bits = tuple(sum(1 << i for i, x in enumerate(xs) if not x)  # ZeroSet.bits
+                                for _, xs in self._points)
 
-        self._A = rows
-        self._b = rhs
-        self._vertices = verts
-        self._zero_bits = tuple(zero_bits)  # ZeroSet.bits of each vertex
-
-    @property
+    @cached_property
     def A(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._A
+        return tuple(tuple(Fraction(c, s) for c in ints) for s, ints in self._rows)
 
-    @property
+    @cached_property
     def b(self) -> tuple[Fraction, ...]:
-        return self._b
+        scale, ints = self._rhs
+        return tuple(Fraction(x, scale) for x in ints)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._vertices
+        return tuple(tuple(Fraction(x, s) for x in xs) for s, xs in self._points)
 
     @property
     def n(self) -> int:
-        return len(self._vertices[0])
+        return len(self._points[0][1])
 
     @property
     def m(self) -> int:
-        return len(self._A)
+        return len(self._rows)
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._points)
 
     @cached_property
     def zero_sets(self) -> tuple[ZeroSet, ...]:
         return tuple(ZeroSet(self.n, bits) for bits in self._zero_bits)
 
     def zero_set(self, vertex_index: int) -> ZeroSet:
-        if not 0 <= vertex_index < len(self._vertices):
+        if not 0 <= vertex_index < self.vertex_count:
             raise ValueError(f"vertex index {vertex_index} out of range 0..{self.vertex_count - 1}")
         return self.zero_sets[vertex_index]
 

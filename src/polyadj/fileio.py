@@ -11,16 +11,17 @@ Layout, whitespace-separated with ``#`` comments ignored to end of line::
     <V rows of n rationals>
 
 Rationals are an optionally signed integer, or ``p/q`` with unsigned
-positive ``q``.  Output is deterministic: same section order, one row per
-line, rationals in lowest terms.
+positive ``q``.  Each row is read straight into ints and validated on them;
+``Fraction`` tuples wait until a caller reads them.  Output is deterministic:
+same section order, one row per line, rationals in lowest terms.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
-from fractions import Fraction
-from itertools import groupby
+from collections.abc import Callable, Iterator
+from itertools import groupby, islice
+from math import gcd, lcm
 
 from .core import Polytope, ValidationError
 
@@ -78,16 +79,26 @@ def _literal(tokens: _Stream, word: str) -> None:
         raise ValidationError(f"line {line}: expected section marker {word!r}, got {tok!r}")
 
 
-def _rational(tokens: _Stream, what: str) -> Fraction:
-    line, tok = _take(tokens, what)
-    if not _RATIONAL.match(tok):
-        raise ValidationError(f"line {line}: malformed rational for {what}: {tok!r}")
-    if "/" in tok:
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ValidationError(f"line {line}: zero denominator for {what}: {tok!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+def _row(tokens: _Stream, count: int, what: Callable[[int], str]) -> tuple[int, tuple[int, ...]]:
+    """The next ``count`` rationals as ``(scale, ints)``: the lcm of their
+    denominators in lowest terms, and the row times it.  Tokens are checked
+    in order; ``what(i)`` names entry i in an error message."""
+    items = list(islice(tokens, count))
+    for i, (line, tok) in enumerate(items):
+        if not _RATIONAL.match(tok):
+            raise ValidationError(f"line {line}: malformed rational for {what(i)}: {tok!r}")
+        if "/" in tok and not int(tok.partition("/")[2]):
+            raise ValidationError(f"line {line}: zero denominator for {what(i)}: {tok!r}")
+    if len(items) < count:
+        raise _Misaligned(f"unexpected end of input: expected {what(len(items))}")
+    toks = [tok for _, tok in items]
+    if "/" not in "".join(toks):
+        return 1, tuple(map(int, toks))
+    ratios = [(int(num), int(den or 1)) for num, _, den in (tok.partition("/") for tok in toks)]
+    scale = lcm(*(q for _, q in ratios))
+    ints = [p * (scale // q) for p, q in ratios]
+    g = gcd(scale, *ints)  # 1 when scale is the lcm of the denominators in lowest terms
+    return scale // g, tuple(x // g for x in ints)
 
 
 def parse_polytope(text: str) -> Polytope:
@@ -105,23 +116,18 @@ def parse_polytope(text: str) -> Polytope:
 
     try:
         _literal(tokens, "A")
-        A = [
-            [_rational(tokens, f"A row {j} entry {i}") for i in range(n)]
-            for j in range(m)
-        ]
+        A = [_row(tokens, n, lambda i: f"A row {j} entry {i}") for j in range(m)]
         _literal(tokens, "b")
-        b = [_rational(tokens, f"b entry {j}") for j in range(m)]
+        b = _row(tokens, m, lambda j: f"b entry {j}")
         _literal(tokens, "vertices")
-        verts = [
-            [_rational(tokens, f"vertex {k} coordinate {i + 1}") for i in range(n)]
-            for k in range(v_count)
-        ]
+        points = [_row(tokens, n, lambda i: f"vertex {k} coordinate {i + 1}")
+                  for k in range(v_count)]
         extra = next(tokens, None)
         if extra is not None:
             raise _Misaligned(f"line {extra[0]}: trailing input starting at {extra[1]!r}")
     except _Misaligned as exc:
         raise ValidationError(f"{exc}{_ragged_row(text, n, m, v_count)}") from None
-    return Polytope(A, b, verts)
+    return Polytope._of_ints(A, b, points)
 
 
 def format_polytope(p: Polytope) -> str:

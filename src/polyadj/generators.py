@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .core import (
     Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
@@ -59,7 +60,7 @@ class HPolytope:
         return len(self.vertices[0])
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[int]]:
+def _nullspace(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
     """Basis of {x : M x = 0} from the RREF of M, denominators cleared.
 
     One basis vector per free column, canonical: the vector for free column
@@ -98,26 +99,30 @@ def slack_embed(h: HPolytope) -> Polytope:
     d = h.dim
     # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
     rows = [_sparse_row(c, g) for c, g in zip(h.normals, h.offsets)]
+    points = [_integral(x) for x in h.vertices]
+    # every slack on one denominator S * L, so int tuples sort as the slack vectors do
+    S, L = lcm(*(scale for scale, _, _ in rows)), lcm(*(D for D, _ in points))
     slacks = []
-    for k, x in enumerate(h.vertices):
-        D, xs = _integral(x)
+    for k, (D, xs) in enumerate(points):
         row = []
         for j, (scale, terms, g) in enumerate(rows):
             s = g * D - sum(ci * xs[i] for i, ci in terms)
             if s < 0:
                 raise ValidationError(
                     f"vertex {k} violates inequality {j} by {Fraction(-s, scale * D)}")
-            row.append(Fraction(s, scale * D))
+            row.append(s * (S // scale) * (L // D))
         slacks.append(tuple(row))
     if len(set(h.vertices)) != len(h.vertices):
         raise ValidationError("duplicate vertices")
 
     A = _nullspace([[row[i] for row in h.normals] for i in range(d)])
     spans = len(h.normals) - len(A) == d  # the normals' rank: one basis vector per free column
-    if spans:  # distinct vertices then have distinct slacks, and the image is valid
+    if spans:  # trusted: A y = A offsets = b as A N = 0, no slack is negative,
+        # and distinct vertices have distinct slacks once the normals span
         b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
         order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
-        p = Polytope(A, b, [slacks[k] for k in order])
+        p = Polytope._of_ints([(1, row) for row in A], _integral(b),
+                              [(S * L, slacks[k]) for k in order], trusted=True)
     if (not spans or p.dimension < d) and rank(
             [[x - y for x, y in zip(v, h.vertices[0])] for v in h.vertices[1:]]) != d:
         raise ValidationError(f"degenerate input: vertices do not span dimension {d}")

@@ -208,3 +208,18 @@ def test_usage_errors_from_argparse(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_141_quietly(cube3_file):
+    # the reader of the pipe is gone before the command writes: no error
+    # line, and the exit code a shell gives a tool killed by SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(polyadj.__file__).parent.parent))
+    for argv in (["graph", "--file", cube3_file], ["gen", "cube", "3"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "polyadj.cli", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv

@@ -4,7 +4,8 @@ combinatorial oracles, and on vertex truncations, against brute force.
 ``perfbench/workloads.py`` builds dual cyclic polytopes and prism products
 from their inequalities without importing polyadj, and derives edges and
 complementary pairs from the combinatorics of each family (Gale evenness,
-factor-wise products).  It is loaded read-only, by path.
+factor-wise products).  It is loaded read-only, by path.  The set-up path
+(parse, embedding) is checked on the benchmark's own inputs too.
 """
 
 import importlib.util
@@ -19,8 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
-from polyadj.core import UnsupportedPolytopeError, detect_facets, is_simple
-from polyadj.generators import HPolytope, slack_embed
+from polyadj.core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
+from polyadj.fileio import format_polytope, parse_polytope
+from polyadj.generators import (
+    HPolytope, bipyramid3, cube, prism3, slack_embed, truncated_cube,
+)
 from polyadj.pairgraph import (
     PairKind,
     all_complementary_pairs,
@@ -210,3 +214,43 @@ def test_main_theorem_on_vertex_truncations(start, picks):
         assert first in pairs and second in pairs
         assert len({*first, *second}) == 4
     _check_arcs(p, facets, neighbors)
+
+
+# -- set-up: ints until a caller reads Fractions --------------------------------
+
+
+def _workload_instances():
+    return [inst for name in sorted(wl.WORKLOADS) for inst in wl.make(name, 1)]
+
+
+def test_setup_builds_no_fraction_tuples():
+    texts = [format_polytope(build()) for build in (lambda: cube(3), prism3, bipyramid3,
+                                                    truncated_cube)]
+    texts += [inst.text for inst in _workload_instances()]
+    for text in texts:
+        p = parse_polytope(text)
+        oracle, facets = precompute(p), detect_facets(p)
+        is_simple(p, facets)
+        all_pairs_adjacency(p, oracle)
+        all_complementary_pairs(p, facets)
+        assert not {"A", "b", "vertices"} & vars(p).keys()
+        # the API edge: built on first read, cached, equal to a validated copy
+        q = Polytope(p.A, p.b, p.vertices)
+        assert (p.A, p.b, p.vertices) == (q.A, q.b, q.vertices)
+        assert p.vertices is p.vertices and p.A is p.A and p.b is p.b
+        assert {"A", "b", "vertices"} <= vars(p).keys()
+        out = format_polytope(p)
+        assert format_polytope(parse_polytope(out)) == out == format_polytope(q)
+
+
+def test_trusted_embedding_passes_the_validating_path():
+    hforms = [orc.fixture(name, d) for name, d in (("cube", 1), ("cube", 3), ("simplex", 1),
+                                                   ("simplex", 4))]
+    hforms += [orc.fixture(name) for name in ("prism3", "bipyramid3", "truncated_cube",
+                                              "bipyramid_simplex4")]
+    hforms += [HPolytope(inst.family.normals, inst.family.offsets, inst.family.vertices)
+               for inst in _workload_instances()]
+    for h in hforms:
+        q = slack_embed(h)
+        r = Polytope(q.A, q.b, q.vertices)
+        assert (r.A, r.b, r.vertices, r._zero_bits) == (q.A, q.b, q.vertices, q._zero_bits)

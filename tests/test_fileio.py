@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from polyadj.core import ValidationError
+from polyadj.core import ValidationError, ZeroSet
 from polyadj.fileio import format_polytope, parse_polytope
 from polyadj.generators import cube, truncated_cube
 
@@ -123,3 +124,49 @@ def test_zero_equality_rows():
     p = parse_polytope(text)
     assert p.m == 0 and p.vertex_count == 1
     assert format_polytope(p) == text
+
+
+def test_parse_keeps_the_first_error_and_reduces_tokens():
+    for text, message in (
+        # a short row that is also malformed: malformed wins
+        ("4 2 4\nA\n1 x 1\n", "line 3: malformed rational for A row 0 entry 1: 'x'"),
+        ("4 2 4\nA\n1 0 1 0\n0 1/0 0 y\n",
+         "line 4: zero denominator for A row 1 entry 1: '1/0'"),
+        # unreduced tokens of one point still collide
+        ("2 1 2\nA\n1 1\nb\n1\nvertices\n1/2 1/2\n2/4 2/4\n", "vertices 0 and 1 are identical"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == message
+    p = parse_polytope("4 0 1\nA\nb\nvertices\n+3 -0 0/7 6/4\n")
+    assert p.vertices == ((Fraction(3), 0, 0, Fraction(3, 2)),)
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+def _token(sign: str, num: int, den: int) -> str:
+    return f"{sign}{num}" + (f"/{den}" if den else "")
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.builds(_token, _SIGNS, st.integers(0, 30), st.integers(0, 12)),
+                          min_size=n, max_size=n), max_size=3),
+        st.lists(st.builds(_token, st.sampled_from(["", "+"]), st.integers(0, 30),
+                           st.integers(0, 12)), min_size=n, max_size=n),
+    )),
+    st.integers(1, 6),
+)
+def test_parse_reads_tokens_as_fraction_does(rows_vertex, unreduce):
+    rows, vertex = rows_vertex
+    A = [[Fraction(tok) for tok in row] for row in rows]
+    v = [Fraction(tok) for tok in vertex]
+    b = [sum(a * x for a, x in zip(row, v)) for row in A]
+    b_toks = [f"{x.numerator * unreduce}/{x.denominator * unreduce}" for x in b]
+    text = "\n".join([f"{len(v)} {len(A)} 1", "A", *map(" ".join, rows), "b", " ".join(b_toks),
+                      "vertices", " ".join(vertex)]) + "\n"
+    p = parse_polytope(text)
+    assert p.A == tuple(map(tuple, A)) and p.b == tuple(b) and p.vertices == (tuple(v),)
+    assert p.zero_sets == (ZeroSet.of_point(v),)
+    assert format_polytope(parse_polytope(format_polytope(p))) == format_polytope(p)
