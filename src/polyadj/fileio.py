@@ -131,12 +131,13 @@ def parse_polytope(text: str) -> Polytope:
 
 
 def format_polytope(p: Polytope) -> str:
-    """Deterministic text form; parses back to an equal polytope."""
-    lines = [f"{p.n} {p.m} {p.vertex_count}", "A"]
-    lines += [" ".join(str(x) for x in row) for row in p.A]
-    lines.append("b")
+    """Deterministic text form; parses back to an equal polytope.  Printed from
+    the int rows: entry x on scale s is x // g over s // g, with g = gcd(x, s)."""
+    def line(scale: int, ints: tuple[int, ...]) -> str:  # as str(Fraction) spells each entry
+        return " ".join(str(x // g) if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}"
+                        for x in ints)
+    lines = [f"{p.n} {p.m} {p.vertex_count}", "A", *(line(*row) for row in p._rows), "b"]
     if p.m:
-        lines.append(" ".join(str(x) for x in p.b))
-    lines.append("vertices")
-    lines += [" ".join(str(x) for x in v) for v in p.vertices]
+        lines.append(line(*p._rhs))
+    lines += ["vertices", *(line(*point) for point in p._points)]
     return "\n".join(lines) + "\n"

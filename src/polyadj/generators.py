@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .core import (
     Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
@@ -61,21 +61,19 @@ class HPolytope:
 
 
 def _nullspace(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Basis of {x : M x = 0} from the RREF of M, denominators cleared.
+    """Basis of {x : M x = 0} in primitive ints, read off the RREF of M, the
+    one step still in ``Fraction``s until an integer elimination serves every rank.
 
     One basis vector per free column, canonical: the vector for free column
     f has a positive entry at f and zeros at the other free columns.
     """
     width = len(rows[0])
     reduced, pivots = _rref([list(r) for r in rows])
-    free = [c for c in range(width) if c not in pivots]
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(_integral(vec)[1])
+    for f in sorted(set(range(width)) - set(pivots)):  # clear the denominators of column f
+        scale, ints = _integral([-row[f] for row in reduced[:len(pivots)]])
+        entries = {**dict(zip(pivots, ints)), f: scale}
+        basis.append(tuple(entries.get(c, 0) for c in range(width)))
     return basis
 
 
@@ -94,7 +92,9 @@ def slack_embed(h: HPolytope) -> Polytope:
     the rows to name every facet).  Last, the image's dimension must be d;
     it falls short when the vertices are not those of the rows' polytope.
     Errors name vertices by their index in ``h``.  Correctness of the vertex
-    list itself is presumed, as everywhere in this package.
+    list itself is presumed, as everywhere in this package.  Slacks, ``b``,
+    the duplicate check and the basis of ``A`` are int arithmetic on rows and
+    vertices scaled once; only the normals' RREF is ``Fraction`` arithmetic.
     """
     d = h.dim
     # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
@@ -112,16 +112,18 @@ def slack_embed(h: HPolytope) -> Polytope:
                     f"vertex {k} violates inequality {j} by {Fraction(-s, scale * D)}")
             row.append(s * (S // scale) * (L // D))
         slacks.append(tuple(row))
-    if len(set(h.vertices)) != len(h.vertices):
+    if len(set(points)) != len(points):  # equal vertices have equal reduced scalings
         raise ValidationError("duplicate vertices")
 
     A = _nullspace([[row[i] for row in h.normals] for i in range(d)])
     spans = len(h.normals) - len(A) == d  # the normals' rank: one basis vector per free column
     if spans:  # trusted: A y = A offsets = b as A N = 0, no slack is negative,
         # and distinct vertices have distinct slacks once the normals span
-        b = [sum(a * g for a, g in zip(row, h.offsets)) for row in A]
+        gs = [g * (S // scale) for scale, _, g in rows]  # offsets times S
+        b = [sum(a * g for a, g in zip(row, gs)) for row in A]  # b = A offsets on scale S
+        common = gcd(S, *b)  # S // common: the least scale that makes b integral
         order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h
-        p = Polytope._of_ints([(1, row) for row in A], _integral(b),
+        p = Polytope._of_ints([(1, row) for row in A], (S // common, tuple(x // common for x in b)),
                               [(S * L, slacks[k]) for k in order], trusted=True)
     if (not spans or p.dimension < d) and rank(
             [[x - y for x, y in zip(v, h.vertices[0])] for v in h.vertices[1:]]) != d:

@@ -41,6 +41,16 @@ def sorted_by_slack(h: HPolytope) -> HPolytope:
     return HPolytope(h.normals, h.offsets, tuple(order))
 
 
+def fraction_text(p: Polytope) -> str:
+    """The file form of ``p`` printed from its ``Fraction`` tuples, entry by
+    entry as ``str(Fraction)`` spells it."""
+    lines = [f"{p.n} {p.m} {p.vertex_count}", "A", *(" ".join(map(str, r)) for r in p.A), "b"]
+    if p.m:
+        lines.append(" ".join(map(str, p.b)))
+    lines += ["vertices", *(" ".join(map(str, v)) for v in p.vertices)]
+    return "\n".join(lines) + "\n"
+
+
 def facet_vertex_sets(h: HPolytope) -> list[frozenset[int]]:
     """Distinct tight vertex sets, one per geometric facet."""
     sets = []

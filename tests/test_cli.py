@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, stdin/file input."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -60,6 +61,29 @@ def test_info_every_generator(capsys):
                  ["gen", "truncated_cube"]):
         assert main(argv) == 0
         capsys.readouterr()
+
+
+# sha256 of the exact stdout of ``polyadj gen``; a segment is both cube(1) and simplex(1)
+GEN_SHA256 = {
+    ("cube", "1"): "95ef86bd323c598b9fb00424c0a523da452f3f65cbc39b2116219bfed55c33e7",
+    ("cube", "2"): "bbd53567e6e57faead60cd62c89e96331e6b0dbe9a11b4cd32b2e08dea78ebd2",
+    ("cube", "3"): "168ce94d97e68758391c694285471ac3e5f41c9d628582be96baf48ce642e705",
+    ("cube", "4"): "5033046ed8511ca158261e6a2f86b8c2471142d2520e58b25cfef57955ae36d6",
+    ("simplex", "1"): "95ef86bd323c598b9fb00424c0a523da452f3f65cbc39b2116219bfed55c33e7",
+    ("simplex", "2"): "271a2bb0b0c33002280d8ae10999ae989f1761aa81a58958593b1e873ce00d01",
+    ("simplex", "3"): "fad082df7c48e951c67f7e75ea29804ff65f9cc0221f1f746b15161760ebbbdb",
+    ("simplex", "4"): "e47e4bc5ee1f9d5c63ad6709d377c2a71fc63774839117e3443e8e0529c2ca51",
+    ("prism3",): "dc2d709bbb15cd138aaeb2de15649b7079f1f0eea6fdfd75879629ab5549dbb9",
+    ("bipyramid3",): "8713dea7df818fca381edf49013b27ed1a5e1c2b7dd2d74a21aac6c6470dab17",
+    ("truncated_cube",): "70f84edcc54296e50349a66dc921e42d8a01f2b349bef513cefabe13bd1d6c2a",
+}
+
+
+def test_gen_output_is_pinned_byte_for_byte(capsys):
+    for args, digest in GEN_SHA256.items():
+        code, out, err = run(capsys, "gen", *args)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_gen_never_reads_stdin(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import oracles as orc
 from polyadj.adjacency import combinatorial_test
 from polyadj.core import (
+    Facets,
     Polytope,
     ValidationError,
     ZeroSet,
@@ -339,6 +340,11 @@ def test_cube3_facets():
     assert [f.coordinates.indices() for f in facets] == [(i,) for i in range(1, 7)]
     for w in range(8):
         assert len(facets.of_vertex(w)) == 3
+
+
+@given(st.integers(0, 2 ** 70))
+def test_facet_ids_are_the_set_bits(mask):
+    assert Facets.ids(mask) == frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
 
 
 def test_of_vertex_refuses_out_of_range_index():

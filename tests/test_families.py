@@ -254,3 +254,15 @@ def test_trusted_embedding_passes_the_validating_path():
         q = slack_embed(h)
         r = Polytope(q.A, q.b, q.vertices)
         assert (r.A, r.b, r.vertices, r._zero_bits) == (q.A, q.b, q.vertices, q._zero_bits)
+
+
+def test_format_prints_workload_files_as_written():
+    # the benchmark writes each file with str(Fraction) entries
+    for inst in _workload_instances():
+        p = parse_polytope(inst.text)
+        assert format_polytope(p) == inst.text
+        q = slack_embed(HPolytope(inst.family.normals, inst.family.offsets,
+                                  inst.family.vertices))
+        text = format_polytope(q)
+        assert not {"A", "b", "vertices"} & (vars(p).keys() | vars(q).keys())
+        assert text == orc.fraction_text(q)

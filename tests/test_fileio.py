@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles as orc
 from polyadj.core import ValidationError, ZeroSet
 from polyadj.fileio import format_polytope, parse_polytope
-from polyadj.generators import cube, truncated_cube
+from polyadj.generators import _GENERATORS, cube, truncated_cube
 
 CUBE2_FILE = """\
 4 2 4
@@ -170,3 +171,44 @@ def test_parse_reads_tokens_as_fraction_does(rows_vertex, unreduce):
     assert p.A == tuple(map(tuple, A)) and p.b == tuple(b) and p.vertices == (tuple(v),)
     assert p.zero_sets == (ZeroSet.of_point(v),)
     assert format_polytope(parse_polytope(format_polytope(p))) == format_polytope(p)
+
+
+def _format_from_ints(p):
+    """``format_polytope(p)``, checked to build none of the ``Fraction`` tuples."""
+    text = format_polytope(p)
+    assert not {"A", "b", "vertices"} & vars(p).keys()
+    return text
+
+
+def test_format_prints_the_int_rows_as_fraction_does():
+    images = [build(d) for build, takes_dim in _GENERATORS.values() if takes_dim
+              for d in range(1, 5)]
+    images += [build() for build, takes_dim in _GENERATORS.values() if not takes_dim]
+    for p in images:
+        text = _format_from_ints(p)
+        assert text == orc.fraction_text(p)
+        q = parse_polytope(text)
+        assert _format_from_ints(q) == text
+    unreduced = CUBE2_FILE.replace("1 0 1 0", "3/3 0/5 6/6 -0", 1).replace("1 1\n", "4/4 2/2\n", 1)
+    assert _format_from_ints(parse_polytope(unreduced)) == CUBE2_FILE
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.builds(_token, _SIGNS, st.integers(0, 30), st.integers(1, 12)),
+                          min_size=n, max_size=n), max_size=3),
+        st.lists(st.builds(_token, st.just(""), st.integers(0, 30), st.integers(1, 12)),
+                 min_size=n, max_size=n),
+    )),
+    st.integers(1, 6),
+)
+def test_format_reduces_signed_unreduced_entries(rows_vertex, unreduce):
+    rows, vertex = rows_vertex
+    A = [[Fraction(tok) for tok in row] for row in rows]
+    v = [Fraction(tok) for tok in vertex]
+    b = [sum(a * x for a, x in zip(row, v)) for row in A]
+    b_toks = [f"{x.numerator * unreduce}/{x.denominator * unreduce}" for x in b]
+    text = "\n".join([f"{len(v)} {len(A)} 1", "A", *map(" ".join, rows), "b", " ".join(b_toks),
+                      "vertices", " ".join(vertex)]) + "\n"
+    p = parse_polytope(text)
+    assert _format_from_ints(p) == orc.fraction_text(p)

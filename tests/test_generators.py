@@ -1,14 +1,17 @@
 """Slack embedding and the built-in fixtures."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles as orc
-from polyadj.core import ValidationError, detect_facets, is_simple
+from polyadj.core import Polytope, ValidationError, _rref, detect_facets, is_simple
 from polyadj.generators import (
     _GENERATORS,
     HPolytope,
+    _nullspace,
     bipyramid3,
     cube,
     prism3,
@@ -267,3 +270,71 @@ def test_hpolytope_shape_validation():
         HPolytope(((-1, 0),), (0, 1), ((0, 0),))
     with pytest.raises(ValidationError, match="float"):
         HPolytope(((-1.0, 0),), (0,), ((0, 0),))
+
+
+# -- exact behaviour of the integer slack path --------------------------------
+
+
+def test_embed_names_a_fractional_violation_exactly():
+    cases = (
+        (square_h(vertices=((0, 0), (0, 1), (1, 0), (1, Fraction(7, 6)))),
+         "vertex 3 violates inequality 3 by 1/6"),
+        # row 2 scales by 4 and the last vertex by 30: the excess is 12 / 120
+        (HPolytope(((-1, 0), (0, -1), (Fraction(3, 2), 3)), (0, 0, Fraction(3, 4)),
+                   ((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 4)), (Fraction(1, 6), "1/5"))),
+         "vertex 3 violates inequality 2 by 1/10"),
+    )
+    for h, message in cases:
+        with pytest.raises(ValidationError) as err:
+            slack_embed(h)
+        assert str(err.value) == message
+
+
+def test_embed_finds_duplicates_spelt_differently():
+    triangle = dict(normals=((-1, 0), (0, -1), (1, 1)), offsets=(0, 0, 1))
+    for vertices in (((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 0), ("2/4", 0)),
+                     ((0, 0), (Fraction(1, 3), "1/3"), (1, 0), (0, 1), ("2/6", Fraction(2, 6)))):
+        with pytest.raises(ValidationError) as err:
+            slack_embed(HPolytope(vertices=vertices, **triangle))
+        assert str(err.value) == "duplicate vertices"
+
+
+def test_embed_reports_a_violation_before_a_duplicate():
+    with pytest.raises(ValidationError) as err:
+        slack_embed(square_h(vertices=((0, 0), (0, 0), (0, 1), (1, 0), (1, Fraction(3, 2)))))
+    assert str(err.value) == "vertex 4 violates inequality 3 by 1/2"
+
+
+def test_embed_rhs_is_the_exact_dot_product_in_lowest_terms():
+    # 1/6 <= x <= 5/6 and 1/6 <= y <= 5/6 with scaled rows: every b entry is
+    # a product whose denominator shares a factor with its numerator
+    square = HPolytope(((-2, 0), (0, -3), (4, 0), (0, 6)),
+                       (Fraction(-1, 3), Fraction(-1, 2), Fraction(10, 3), 5),
+                       tuple((Fraction(x, 6), Fraction(y, 6)) for x in (1, 5) for y in (1, 5)))
+    segment = HPolytope(((-1,), (1,)), (Fraction(-1, 6), Fraction(5, 6)),
+                        ((Fraction(1, 6),), (Fraction(5, 6),)))
+    hforms = [square, segment, orc.fixture("truncated_cube"), orc.fixture("bipyramid3")]
+    for h in hforms:
+        q = slack_embed(h)
+        assert q.b == tuple(sum(a * g for a, g in zip(row, h.offsets)) for row in q.A)
+        assert q._rhs == Polytope(q.A, q.b, q.vertices)._rhs
+    assert slack_embed(segment).b == (Fraction(2, 3),)
+    assert slack_embed(square).b == (Fraction(8, 3), 4)
+
+
+_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=7)))
+def test_nullspace_basis_is_primitive_and_canonical(normals):
+    columns = [list(col) for col in zip(*normals)]  # A N = 0: the nullspace of N transposed
+    basis = _nullspace(columns)
+    pivots = _rref([list(col) for col in columns])[1]
+    free = [c for c in range(len(normals)) if c not in pivots]
+    assert len(basis) == len(free)
+    for f, vec in zip(free, basis):
+        assert len(vec) == len(normals) and all(type(x) is int for x in vec)
+        assert gcd(*vec) == 1 and vec[f] > 0
+        assert all(vec[g] == 0 for g in free if g != f)
+        assert all(sum(c * x for c, x in zip(col, vec)) == 0 for col in columns)
