@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Polytope, _affine_dimension, _bits, _check_pair, _face
+from . import core
+from .core import Polytope, _bits, _check_pair, _face
 from .joinmap import JoinMap, build_join_map
 
 __all__ = ["AdjacencyOracle", "Verdict", "algebraic_test", "all_pairs_adjacency",
@@ -85,7 +86,7 @@ def combinatorial_test(p: Polytope, u: int, v: int) -> bool:
     """Exact for all polytopes: u, v are adjacent when no third vertex lies
     on the smallest face containing both, which always holds u and v.  That
     face is an AND of the coordinate-face bitmasks of their common zeros:
-    O(n) operations on V-bit ints, plus O(k) to list its k vertices."""
+    O(n) operations on V-bit ints."""
     _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
     return _face(p, p._zero_bits[u] & p._zero_bits[v]).bit_count() == 2
 
@@ -95,7 +96,9 @@ def algebraic_test(p: Polytope, u: int, v: int) -> bool:
     dimension 1. Collects that face as for :func:`combinatorial_test`, then
     ranks its k vertices exactly in O(k n^2)."""
     _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
-    return _affine_dimension(p, _bits(_face(p, p._zero_bits[u] & p._zero_bits[v]))) == 1
+    points = [p.vertices[w] for w in _bits(_face(p, p._zero_bits[u] & p._zero_bits[v]))]
+    # core.rank read on each call, so that a replaced core.rank (a tracer's, a test's) sees it
+    return core.rank([[x - y for x, y in zip(q, points[0])] for q in points[1:]]) == 1
 
 
 def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> list[tuple[int, int]]:

@@ -7,8 +7,9 @@ face, so most questions reduce to bit operations on per-vertex zero sets.
 Those are kept as plain ``int`` masks, and every query works on them;
 :class:`ZeroSet` is a checked view of one, built only where a caller asks.
 Facets come from those zero sets alone, with no rank, in O(n^2 V + n V^2)
-bit operations, and are kept as one facet bitmask per vertex; the dimension
-is a chain of coordinate faces, also with no rank.
+bit operations, kept as their vertex bitmasks and transposed once into one
+facet bitmask per vertex; the dimension of P or of any face is a chain of
+coordinate faces, also with no rank.
 
 Inputs and results are exact rationals (:class:`fractions.Fraction`), so
 zero tests, ranks and face dimensions are exact; a Polytope holds and
@@ -304,20 +305,8 @@ class Polytope:
 
     @cached_property
     def dimension(self) -> int:
-        """Affine dimension, with no rank: the steps from P down to a vertex,
-        each to a largest proper, nonempty meet of the face with a coordinate
-        face.  A largest one is a facet of the face, so each step drops the
-        dimension by one.  O(d n) operations on V-bit ints.  Exact when the
-        vertex list is correct and complete; on an incomplete list it can
-        fall below the affine rank of the points, never above it."""
-        face = (1 << self.vertex_count) - 1
-        d = 0
-        while True:
-            smaller = [s for s in (face & c for c in self.coordinate_faces) if s and s != face]
-            if not smaller:
-                return d
-            face = max(smaller, key=int.bit_count)
-            d += 1
+        """Affine dimension: :func:`face_dimension` of P itself, with no rank."""
+        return face_dimension(self, ZeroSet(self.n))
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
@@ -332,12 +321,6 @@ def _face(p: Polytope, bits: int) -> int:
     return verts
 
 
-def _affine_dimension(p: Polytope, ws: Iterable[int]) -> int | None:
-    """Affine dimension of the vertices ``ws``; None when there are none."""
-    points = [p.vertices[w] for w in ws]
-    return rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]]) if points else None
-
-
 def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """Indices of vertices on the face where every coordinate in ``s`` vanishes.
 
@@ -350,8 +333,25 @@ def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
 
 
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
-    """Dimension of the face selected by ``s``; None for the empty face."""
-    return _affine_dimension(p, face_vertices(p, s))
+    """Dimension of the face selected by ``s``, None for the empty face, with
+    no rank: the steps from the face down to a vertex, each to a largest
+    proper, nonempty meet of the face with a coordinate face.  A largest one
+    is a facet of the face, so each step drops the dimension by one.  O(d n)
+    operations on V-bit ints.  Exact when the vertex list is correct and
+    complete; on an incomplete list it can fall below the affine rank of the
+    face's points, never above it."""
+    if s.width != p.n:
+        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
+    face = _face(p, s.bits)
+    if not face:
+        return None
+    d = 0
+    while True:
+        smaller = [t for t in (face & c for c in p.coordinate_faces) if t and t != face]
+        if not smaller:
+            return d
+        face = max(smaller, key=int.bit_count)
+        d += 1
 
 
 @dataclass(frozen=True)
@@ -372,28 +372,26 @@ class Facets:
 
     ``facets[f]`` builds :class:`Facet` f, ids in order of smallest defining
     coordinate; it reads like a tuple of facets but takes only an int index.
-    Membership is held only in ``masks``: bit f of ``masks[w]`` is set when
-    vertex w lies on facet f; ``Facet`` objects and id sets are built from it.
-    Coordinates whose zero locus is no facet are ``non_facet_coordinates``.
+    Each facet is held as its vertex and coordinate bitmasks, so ``facets[f]``
+    is O(k) for its k vertices; ``masks`` is their one transpose: bit f of
+    ``masks[w]`` is set when vertex w lies on facet f.  Coordinates whose zero
+    locus is no facet are ``non_facet_coordinates``.
     """
 
-    def __init__(
-        self,
-        coordinates: Sequence[ZeroSet],
-        non_facet_coordinates: Sequence[int],
-        masks: Sequence[int],
-    ) -> None:
-        self._coordinates = tuple(coordinates)
-        self.non_facet_coordinates = tuple(non_facet_coordinates)
-        self.masks = tuple(masks)
+    def __init__(self, p: Polytope, groups: dict[int, int], non_facets: Sequence[int]) -> None:
+        self._width = p.n
+        self._vertex_sets = tuple(groups)
+        self._coordinates = tuple(groups.values())
+        self.non_facet_coordinates = tuple(non_facets)
+        self.masks = _transpose(self._vertex_sets, p.vertex_count)
 
     def __len__(self) -> int:
         return len(self._coordinates)
 
     def __getitem__(self, i: int) -> Facet:
         f = range(len(self))[operator.index(i)]
-        vertices = frozenset(w for w, mask in enumerate(self.masks) if mask >> f & 1)
-        return Facet(f, self._coordinates[f], vertices)
+        vertices = frozenset(_bits(self._vertex_sets[f]))
+        return Facet(f, ZeroSet(self._width, self._coordinates[f]), vertices)
 
     @staticmethod
     def ids(mask: int) -> frozenset[int]:
@@ -418,14 +416,12 @@ def detect_facets(p: Polytope) -> Facets:
     on_coord = p.coordinate_faces
     proper = set(on_coord) - {0, (1 << p.vertex_count) - 1}
     facet_sets = {s for s in proper if not any(s != t and s & t == s for t in proper)}
-    groups: dict[int, list[int]] = {}
-    for coord, verts in enumerate(on_coord, start=1):
+    groups: dict[int, int] = {}
+    for i, verts in enumerate(on_coord):
         if verts in facet_sets:
-            groups.setdefault(verts, []).append(coord)
+            groups[verts] = groups.get(verts, 0) | 1 << i
     non_facets = [c for c, verts in enumerate(on_coord, start=1) if verts not in facet_sets]
-    masks = _transpose(list(groups), p.vertex_count)
-    coordinates = [ZeroSet.of_indices(p.n, coords) for coords in groups.values()]
-    return Facets(coordinates, non_facets, masks)
+    return Facets(p, groups, non_facets)
 
 
 def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) -> bool:

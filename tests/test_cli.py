@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import polyadj
+from polyadj import generators
 from polyadj.cli import main
+from polyadj.core import Polytope
 from polyadj.fileio import format_polytope
 from polyadj.generators import bipyramid3, cube
 
@@ -84,6 +86,140 @@ def test_gen_output_is_pinned_byte_for_byte(capsys):
         code, out, err = run(capsys, "gen", *args)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+# The read commands on every fixture and on cube(3) minus a vertex (a list
+# outside the contract), walks from the least complementary pair: the sha256 of
+# stdout where a command succeeds with nothing on stderr, else its exit code and
+# stderr with nothing on stdout.
+DIM1 = "error: pair-graph walks need dimension > 1, got 1\n"
+NOT_SIMPLE = ("error: pair-graph walks need a simple polytope; use the combinatorial adjacency "
+              "test instead\n")
+PARITY = ("error: 2d-facet parity law violated: ParityReport(facet_count=6, pair_count=3, "
+          "even=False, pairwise_disjoint=True) on a simple polytope of dimension 3\n")
+ARCS = "error: internal invariant violated: node (1, 6) has 1 arcs, expected exactly 2\n"
+READ_PINS = {
+    "cube 1": {
+        "info": "1d91489c0678f2a353dde17470e008b62ad7cf071ab075a2984f0940b4295c57",
+        "graph": "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+        "complementary": "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+        "parity": (3, DIM1),
+        "second-pair 0 1": (3, DIM1),
+        "disjoint-pairs 0 1": (3, DIM1),
+    },
+    "cube 2": {
+        "info": "2bf9077a568221141774c4bcce0477be4abec09bd12b9cc865f590ec8ff8a8c4",
+        "graph": "40bdbdd46433ff9550b65cd10c46c135b2296698ed082b0e2e5b6932279c8458",
+        "complementary": "c172a7b6898d8e8fc0f7c827a326f8bae12e66c4366057631fc17b9d53dccc9f",
+        "parity": "ef3f97842e032903c7e65ed027ba4c4a0f1592fedea97147c8c98bfb7136cdae",
+        "second-pair 0 3": "f251ddc12234e0da8d3b778bd0f7463fb477f16f47757f5617dc8b4ff4d4f14a",
+        "disjoint-pairs 0 3": "c172a7b6898d8e8fc0f7c827a326f8bae12e66c4366057631fc17b9d53dccc9f",
+    },
+    "cube 3": {
+        "info": "14f4ac5b12f116f432b9150d2397ab504a7653494ca69383f494b3e6f456dcd5",
+        "graph": "53674a178d5181f4c3e7cab223b16d4f1f1203b8febc7eeebc9bd0a7aea09b10",
+        "complementary": "a4d439ea5b45c8c129e52fe55e4f21c0aa4d6b612571f08d9e2aaf7a6738486c",
+        "parity": "aac2b1982b9205b065aec439a2c21a8dd3a48ec84f8760d75238b6cbd07e4cfc",
+        "second-pair 0 7": "0210d51797921a617229eea6331ca1ee037b676ebc25e1a146e54c5c6dbf4881",
+        "disjoint-pairs 0 7": "fc5074b4ca8a844a3ffe3577ec1a7c372908e56b5810e39dea04c2aa0bbf6211",
+    },
+    "cube 4": {
+        "info": "216c035fa7a22a04e0b54bba41ea8c532b18fa1ce6731fbc633369f8453512cc",
+        "graph": "4b72796373ee4d6c0785d2315eb1eb87298a6387283966fa928cba3da3b55da7",
+        "complementary": "12874220ab071fa72a364946d0de051a6ac4a87c5f25eedcb5fbdcaf66084cf0",
+        "parity": "7d7303ec24d72fa02693ed00e16bac508acc2c69e4102e0c79008b23f0a7ac74",
+        "second-pair 0 15": "a8d048a39d90fb94356182da20aecaf6bc03af5497e5115712f485c036ee8a4d",
+        "disjoint-pairs 0 15": "0e6427358ed0482f73c45364cd12b267bb94d088bbca4b7a5829038f3caa9497",
+    },
+    "simplex 1": {
+        "info": "1d91489c0678f2a353dde17470e008b62ad7cf071ab075a2984f0940b4295c57",
+        "graph": "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+        "complementary": "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+        "parity": (3, DIM1),
+        "second-pair 0 1": (3, DIM1),
+        "disjoint-pairs 0 1": (3, DIM1),
+    },
+    "simplex 2": {
+        "info": "38ba1338890cc9756e6d04124baa12a5d14877ceb6100df2a9633df75efcfe49",
+        "graph": "0b3cf00b23b6326ad092eee8085e08aae69de649967f0c67855d9d18a34aa5af",
+        "complementary": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "parity": "33f329e03894447e9ded41d6c6f60e366a1b3c08e0714310dcf9e29448cc5478",
+    },
+    "simplex 3": {
+        "info": "1e0f540e62d63de8bbdd18f2829f0beabb5cc286e2d97f2fc420073e6ed8155d",
+        "graph": "b68fb7de3d4c450107307a6d055e1d97e292335557965c26edfc710d3104e6dd",
+        "complementary": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "parity": "a296e4031c7bd9e3e8e0a71c58483098ebc160d332aabea8924daaca89c22e1a",
+    },
+    "simplex 4": {
+        "info": "48bb862f3b5aad3447fbba05413f00bb11ce3d2f6782da11f1b342bf0f53cd44",
+        "graph": "b9142af063584e79deb29bd0a7652fe179ae720fec103607a884c6bb174ca606",
+        "complementary": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "parity": "72eebeeac74ffc0b9c7d2e5df7849573f942bdb746fa79edb5aeefc2dec6a90b",
+    },
+    "prism3": {
+        "info": "2a397278d761f7af87a06d918c3c720961bea858021ae53ccc7a3307bbe7c961",
+        "graph": "86435fb860a2b35f8d5b96ea00cc28e9f55b930fd12ca682928ced54d20891e5",
+        "complementary": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "parity": "72eebeeac74ffc0b9c7d2e5df7849573f942bdb746fa79edb5aeefc2dec6a90b",
+    },
+    "bipyramid3": {
+        "info": "e84a199ff2ee937092db990144b057bdaf0975f9bb1a65e278a1e0a52451ccb1",
+        "graph": "255f8209d260562a6425df60daaf86dbb85199044e60f5497d6f1e29da3a4d34",
+        "complementary": "337b794ce718a09a620090d53541c3b4640a64133bbee2188444810cd3169f81",
+        "parity": (3, NOT_SIMPLE),
+        "second-pair 2 3": (3, NOT_SIMPLE),
+        "disjoint-pairs 2 3": (3, NOT_SIMPLE),
+    },
+    "truncated_cube": {
+        "info": "8a8a99117324ac986a1f6300ac47bee2efb5ddae15b5595d2909a8a6897d286a",
+        "graph": "653c37462da2ccb6ea39165af1b65a2b563c38828d0e53a560378467014b046e",
+        "complementary": "08790a00d1d5355d66a9b2d3e4e2e073ef437b81e68f656a02a342e4cf11dc2f",
+        "parity": "c1717b0c808a7400bedd13183385e75190b0f28ceb1c1efd4e43d2c3bbacf788",
+        "second-pair 0 8": "dea7e4555848aab04a6d866158df9903d5d45f49d18f6745f2c52f8670de280a",
+        "disjoint-pairs 0 8": "a2e924e7756ad3736876f8e5141f9542bcfd44e0c3985f5bee2a4682856220be",
+    },
+    "cube 3 minus 0": {
+        "info": "7921edec65777bfcbf778903188318038cbc9d999a32b2474a475e1dc3e453e6",
+        "graph": "40d119bc63d230b7b28b5c8b41ba20bddd6322bd69a6c9a4b75b716cadd9ec39",
+        "complementary": "35486d6d75a690c3cf3963d66213f5e2ac8c4b309ae6cd2d41ac2e0d974da80e",
+        "parity": (4, PARITY),
+        "second-pair 0 5": "337b794ce718a09a620090d53541c3b4640a64133bbee2188444810cd3169f81",
+        "disjoint-pairs 0 5": "f4296652ec191f1bf384572017cf1f0144eef1755a23167bed42e9f47bbeebc7",
+    },
+    "cube 3 minus 6": {
+        "info": "7921edec65777bfcbf778903188318038cbc9d999a32b2474a475e1dc3e453e6",
+        "graph": "47b12f14fd4f0363ba174cd573495fcf78d8789fdb5e289fc85b3e9a76fb2061",
+        "complementary": "799b845e06ba9adc4270c4bf64ff6bc4012dc31862929ca63bc99b0996ab00fb",
+        "parity": (4, PARITY),
+        "second-pair 0 6": (4, ARCS),
+        "disjoint-pairs 0 6": (4, ARCS),
+    },
+}
+
+
+def _pinned_input(label: str) -> Polytope:
+    """``"cube 3"`` is cube(3), ``"prism3"`` prism3(), ``"cube 3 minus 6"`` cube(3)
+    without vertex 6, on cube(3)'s own rows."""
+    name, *args = label.split()
+    p = getattr(generators, name)(*map(int, args[:1]))
+    if "minus" in args:
+        k = int(args[-1])
+        p = Polytope(p.A, p.b, p.vertices[:k] + p.vertices[k + 1:])
+    return p
+
+
+def test_read_commands_are_pinned_byte_for_byte(capsys, monkeypatch):
+    for label, pins in READ_PINS.items():
+        text = format_polytope(_pinned_input(label))
+        for command, pin in pins.items():
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, *command.split())
+            if isinstance(pin, tuple):
+                assert (code, err, out) == (*pin, ""), (label, command)
+            else:
+                assert (code, err) == (0, ""), (label, command)
+                assert hashlib.sha256(out.encode()).hexdigest() == pin, (label, command)
 
 
 def test_gen_never_reads_stdin(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Zero sets, rank, faces, facets, complementarity."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
-from polyadj.adjacency import combinatorial_test
+from polyadj.adjacency import combinatorial_test, precompute
 from polyadj.core import (
+    Facet,
     Facets,
     Polytope,
     ValidationError,
@@ -21,7 +23,7 @@ from polyadj.core import (
     is_simple,
     rank,
 )
-from polyadj.generators import cube, simplex, slack_embed
+from polyadj.generators import HPolytope, cube, simplex, slack_embed
 from polyadj.pairgraph import PairKind, all_complementary_pairs, classify_pair
 
 # enumerated by hand from the 8 corners of the unit cube: coordinates are
@@ -89,6 +91,23 @@ def test_as_fraction_refuses_floats():
         as_fraction(0.5)
     assert as_fraction("2/3") == Fraction(2, 3)
     assert as_fraction(7) == Fraction(7)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", None, [1]])
+def test_non_rationals_are_refused_by_name(value):
+    message = re.escape(f"not a rational number: {value!r}")
+    with pytest.raises(ValidationError, match=message):
+        as_fraction(value)
+    with pytest.raises(ValidationError, match=message):
+        Polytope([[1]], [1], [(value,)])
+    with pytest.raises(ValidationError, match=message):
+        HPolytope(((-1,), (1,)), (0, 1), ((0,), (value,)))
+
+
+def test_reprs():
+    assert repr(ZeroSet.of_indices(3, (1, 3))) == "ZeroSet({1,3}, width=3)"
+    assert repr(cube(3)) == "Polytope(n=6, m=3, vertices=8)"
+    assert repr(precompute(cube(3))) == "AdjacencyOracle(dim=3, simple=True)"
 
 
 # -- rank -------------------------------------------------------------------
@@ -325,6 +344,37 @@ def test_join_identity_against_minimal_face_oracle():
                 )
 
 
+def face_fixtures() -> list[Polytope]:
+    polytopes = [cube(3), cube(4), simplex(4)]
+    polytopes += [slack_embed(orc.fixture(name))
+                  for name in ("prism3", "bipyramid3", "truncated_cube", "bipyramid_simplex4")]
+    polytopes.append(orc.product_polytope(slack_embed(orc.fixture("bipyramid3")), cube(2)))
+    return polytopes
+
+
+def test_face_dimension_needs_no_rank(monkeypatch):
+    # every face's dimension comes from the chain of coordinate faces: on
+    # each pair join and each pair of coordinates (some select no vertex)
+    cases = []
+    for p in face_fixtures():
+        zs = p.zero_sets
+        sets = [zs[u] & zs[v] for u, v in combinations(range(p.vertex_count), 2)]
+        sets += [ZeroSet.of_indices(p.n, ij) for ij in combinations(range(1, p.n + 1), 2)]
+        faces = {tuple(face_vertices(p, s)) for s in sets}
+        want = {face: orc.affine_dim([p.vertices[w] for w in face]) if face else None
+                for face in faces}
+        cases.append((p, sets, want))
+    assert any(None in want.values() for _, _, want in cases)
+
+    def no_rank(matrix):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr("polyadj.core.rank", no_rank)
+    for p, sets, want in cases:
+        for s in sets:
+            assert face_dimension(p, s) == want[tuple(face_vertices(p, s))], (p, s)
+
+
 # -- facets -----------------------------------------------------------------
 
 
@@ -409,6 +459,34 @@ def test_point_has_no_facets():
 def test_triangular_bipyramid_has_six_facets():
     p = slack_embed(orc.fixture("bipyramid3"))
     assert len(detect_facets(p)) == 6
+
+
+def test_detect_facets_builds_no_zero_set(monkeypatch):
+    polytopes = face_fixtures()
+    want = [(len(f), f.masks, f.non_facet_coordinates) for f in map(detect_facets, polytopes)]
+    built = []
+    init = ZeroSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(ZeroSet, "__post_init__", counted)
+    got = [(len(f), f.masks, f.non_facet_coordinates) for f in map(detect_facets, polytopes)]
+    assert (got, built) == (want, [])
+
+
+def test_facet_lookup_reads_only_its_own_vertex_set():
+    for p in face_fixtures():
+        facets = detect_facets(p)
+        want = []
+        for f in range(len(facets)):
+            verts = sum(1 << w for w, mask in enumerate(facets.masks) if mask >> f & 1)
+            coords = [i + 1 for i, face in enumerate(p.coordinate_faces) if face == verts]
+            on = frozenset(w for w in range(p.vertex_count) if verts >> w & 1)
+            want.append(Facet(f, ZeroSet.of_indices(p.n, coords), on))
+        facets.masks = None  # not read by facets[f]
+        assert [facets[f] for f in range(len(facets))] == want
 
 
 # -- complementarity and simplicity -----------------------------------------

@@ -272,6 +272,13 @@ def test_hpolytope_shape_validation():
         HPolytope(((-1.0, 0),), (0,), ((0, 0),))
 
 
+def test_hpolytope_refuses_an_empty_vertex_list_or_vertex():
+    with pytest.raises(ValidationError, match="^at least one vertex is required$"):
+        HPolytope(((-1,),), (0,), ())
+    with pytest.raises(ValidationError, match="^vertices must have at least one coordinate$"):
+        HPolytope((), (), ((),))
+
+
 # -- exact behaviour of the integer slack path --------------------------------
 
 
