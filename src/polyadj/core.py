@@ -166,6 +166,22 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """In-place ``_rref`` on int rows, fraction-free (Bareiss, Math. Comp. 1968): every
+    pivot entry ends as the last pivot D, so the pivot rows over D are the RREF."""
+    pivots, prev = [], 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if (piv := next((i for i in range(r, len(rows)) if rows[i][col]), None)) is not None:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            top, p = rows[r], rows[r][col]  # each division exact by Sylvester's identity
+            rows[:] = [row if row is top else [(p * a - row[col] * t) // prev
+                                               for a, t in zip(row, top)] for row in rows]
+            prev = p
+            pivots.append(col)
+    return rows, pivots
+
+
 def rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     """Exact rank over the rationals via Gaussian elimination.
 

@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .core import (
-    Polytope, ValidationError, _integral, _rref, _sparse_row, as_fraction, detect_facets, rank,
+    Polytope, ValidationError, _bareiss, _integral, _sparse_row, as_fraction, detect_facets, rank,
 )
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
@@ -61,19 +61,18 @@ class HPolytope:
 
 
 def _nullspace(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Basis of {x : M x = 0} in primitive ints, read off the RREF of M, the
-    one step still in ``Fraction``s until an integer elimination serves every rank.
-
-    One basis vector per free column, canonical: the vector for free column
-    f has a positive entry at f and zeros at the other free columns.
-    """
+    """Basis of {x : M x = 0} in primitive ints, canonical: the vector for free
+    column f is positive at f and zero at the other free columns.  Scaled to ints,
+    M's rows (same nullspace) reduce fraction-free to pivot entries all D, so it
+    is D at f and -row_i[f] at pivot i, over its gcd carrying the sign of D."""
     width = len(rows[0])
-    reduced, pivots = _rref([list(r) for r in rows])
+    reduced, pivots = _bareiss([list(_integral(r)[1]) for r in rows])
+    D = reduced[0][pivots[0]] if pivots else 1
     basis = []
-    for f in sorted(set(range(width)) - set(pivots)):  # clear the denominators of column f
-        scale, ints = _integral([-row[f] for row in reduced[:len(pivots)]])
-        entries = {**dict(zip(pivots, ints)), f: scale}
-        basis.append(tuple(entries.get(c, 0) for c in range(width)))
+    for f in sorted(set(range(width)) - set(pivots)):
+        entries = {**{c: -row[f] for c, row in zip(pivots, reduced)}, f: D}
+        g = gcd(*entries.values()) if D > 0 else -gcd(*entries.values())
+        basis.append(tuple(entries.get(c, 0) // g for c in range(width)))
     return basis
 
 
@@ -92,9 +91,9 @@ def slack_embed(h: HPolytope) -> Polytope:
     the rows to name every facet).  Last, the image's dimension must be d;
     it falls short when the vertices are not those of the rows' polytope.
     Errors name vertices by their index in ``h``.  Correctness of the vertex
-    list itself is presumed, as everywhere in this package.  Slacks, ``b``,
-    the duplicate check and the basis of ``A`` are int arithmetic on rows and
-    vertices scaled once; only the normals' RREF is ``Fraction`` arithmetic.
+    list itself is presumed, as everywhere in this package.  Valid input costs
+    no ``Fraction`` arithmetic: slacks, ``b``, the duplicate check and the
+    basis of ``A`` are ints, on rows and vertices scaled once.
     """
     d = h.dim
     # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D

@@ -8,6 +8,7 @@ factor-wise products).  It is loaded read-only, by path.  The set-up path
 (parse, embedding) is checked on the benchmark's own inputs too.
 """
 
+import hashlib
 import importlib.util
 import sys
 from fractions import Fraction
@@ -266,3 +267,56 @@ def test_format_prints_workload_files_as_written():
         text = format_polytope(q)
         assert not {"A", "b", "vertices"} & (vars(p).keys() | vars(q).keys())
         assert text == orc.fraction_text(q)
+
+
+# -- the embedding on ints: dense normals, no Fraction arithmetic ----------------
+
+# sha256 of ``format_polytope(slack_embed(h))``, recorded with a ``Fraction``
+# elimination; dense normals make every pivot a big int, where an inexact
+# division would show (the ``gen`` pins have 0/+-1 normals only)
+DENSE_EMBED_SHA256 = {
+    "dual_cyclic(2)": "796ee6aa874e548f94461672601c091ae14ad56b5d026e73fc96b9d88ee79c4b",
+    "dual_cyclic(3)": "5741f26747abcbaf645f7b22d2f8b9694020969ca925423446b60f844a7b8240",
+    "dual_cyclic(4)": "24186f2563ccd7bfb7c5585d7a8ee3b61b846a8a677f33eade17dcb876498869",
+    "dual_cyclic(5)": "519487630b7b068d93dc12ca91188cc530fee0ba8057b47a57a05b5c43057da9",
+    "dual_cyclic(6)": "f6f65795b337171c0dc51358ebff1eae0c5e7be0cf8763ac83fbbb6f651b1574",
+    "bipyramid3 x cube(4)": "e77c76d9a62d1b4acfb8408aab94e3a2362542f386338008bcc29775a0ce0f0f",
+    "cross_polytope(5)": "4b04635bb7b64b686040826b98bc228b6f46ca2d0fda2007ccaa6c4772d67a17",
+}
+
+
+def _dense_families():
+    families = {f"dual_cyclic({d})": wl.dual_cyclic(d) for d in range(2, 7)}
+    families["bipyramid3 x cube(4)"] = wl.prism_product(wl.bipyramid3(), wl.cube(4))
+    families["cross_polytope(5)"] = wl.cross_polytope(5)
+    return {name: HPolytope(f.normals, f.offsets, f.vertices) for name, f in families.items()}
+
+
+def test_dense_normal_embeds_are_pinned():
+    hforms = _dense_families()
+    assert hforms.keys() == DENSE_EMBED_SHA256.keys()
+    for name, h in hforms.items():
+        out = format_polytope(slack_embed(h))
+        assert hashlib.sha256(out.encode()).hexdigest() == DENSE_EMBED_SHA256[name], name
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__", "__neg__")
+
+
+def test_embed_does_no_fraction_arithmetic(monkeypatch):
+    hforms = [orc.fixture(name, d) for name, d in (("cube", 1), ("cube", 3), ("cube", 4),
+                                                   ("simplex", 1), ("simplex", 4))]
+    hforms += [orc.fixture(name) for name in ("prism3", "bipyramid3", "truncated_cube",
+                                              "bipyramid_simplex4")]
+    hforms += _dense_families().values()  # C_d(2d)* and both nonsimple workload inputs
+    expected = [format_polytope(slack_embed(h)) for h in hforms]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in slack_embed")
+
+    with monkeypatch.context() as patch:
+        for name in _ARITHMETIC:
+            patch.setattr(Fraction, name, refuse)
+        images = [slack_embed(h) for h in hforms]
+    assert [format_polytope(p) for p in images] == expected

@@ -1,13 +1,16 @@
 """Slack embedding and the built-in fixtures."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from polyadj.core import Polytope, ValidationError, _rref, detect_facets, is_simple
+from polyadj.core import (
+    Polytope, ValidationError, _bareiss, _integral, _rref, detect_facets, is_simple,
+)
 from polyadj.generators import (
     _GENERATORS,
     HPolytope,
@@ -345,3 +348,58 @@ def test_nullspace_basis_is_primitive_and_canonical(normals):
         assert gcd(*vec) == 1 and vec[f] > 0
         assert all(vec[g] == 0 for g in free if g != f)
         assert all(sum(c * x for c, x in zip(col, vec)) == 0 for col in columns)
+
+
+_DENSE = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60)))
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 8 rows of up to 40 entries, with zero, duplicate and proportional rows."""
+    width = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "multiple"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * width)
+        elif kind == "multiple" and rows:  # a multiple of 1 is a duplicate
+            k = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(_DENSE, min_size=width, max_size=width)))
+    return draw(st.permutations(rows))
+
+
+def _sympy_basis(rows):
+    """``sympy``'s nullspace basis, each vector scaled to primitive ints (its
+    free column holds 1, so the scaled entry there is positive)."""
+    basis = []
+    for vec in sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows]).nullspace():
+        scale = lcm(*(int(e.q) for e in vec))
+        ints = [int(e * scale) for e in vec]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis
+
+
+def _last_pivot(rows):
+    reduced, pivots = _bareiss([list(_integral(row)[1]) for row in rows])
+    return reduced[0][pivots[0]] if pivots else 1
+
+
+@settings(deadline=None)
+@given(_matrices())
+def test_nullspace_matches_sympy_on_dense_rationals(rows):
+    # negating the row that takes the first pivot negates the last pivot D
+    # and keeps the nullspace, so both signs of D are checked
+    col = next((c for c in range(len(rows[0])) if any(row[c] for row in rows)), None)
+    variants = [rows]
+    if col is not None:
+        i = next(i for i, row in enumerate(rows) if row[col])
+        variants.append([[-x for x in row] if k == i else row for k, row in enumerate(rows)])
+        assert _last_pivot(variants[0]) == -_last_pivot(variants[1])
+    expected = _sympy_basis(rows)
+    for matrix in variants:
+        assert _nullspace([list(row) for row in matrix]) == expected
