@@ -390,8 +390,9 @@ class Facets:
     coordinate; it reads like a tuple of facets but takes only an int index.
     Each facet is held as its vertex and coordinate bitmasks, so ``facets[f]``
     is O(k) for its k vertices; ``masks`` is their one transpose: bit f of
-    ``masks[w]`` is set when vertex w lies on facet f.  Coordinates whose zero
-    locus is no facet are ``non_facet_coordinates``.
+    ``masks[w]`` is set when vertex w lies on facet f.  ``_counts``, the set of
+    per-vertex facet counts, is cached on first read for :func:`is_simple`.
+    Coordinates whose zero locus is no facet are ``non_facet_coordinates``.
     """
 
     def __init__(self, p: Polytope, groups: dict[int, int], non_facets: Sequence[int]) -> None:
@@ -403,6 +404,10 @@ class Facets:
 
     def __len__(self) -> int:
         return len(self._coordinates)
+
+    @cached_property
+    def _counts(self) -> set[int]:
+        return set(map(int.bit_count, self.masks))
 
     def __getitem__(self, i: int) -> Facet:
         f = range(len(self))[operator.index(i)]
@@ -452,8 +457,9 @@ def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) 
 
 
 def is_simple(p: Polytope, facets: Facets | None = None) -> bool:
-    """True when every vertex lies on exactly dim P facets."""
+    """True when every vertex lies on exactly dim P facets.  The catalogue
+    counts each vertex's facets once, so a call is O(1) after the first on it."""
     d = p.dimension
     if facets is None:
         facets = detect_facets(p)
-    return all(mask.bit_count() == d for mask in facets.masks)
+    return facets._counts == {d}

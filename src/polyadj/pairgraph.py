@@ -18,7 +18,6 @@ pairwise disjoint.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,21 +63,23 @@ def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
 def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
     """Canonical node (u < v) for the pair, of whatever kind."""
     _check_pair(p.vertex_count, u, v, "a pair consists of two distinct vertices")
-    common = facets.masks[u] & facets.masks[v]
-    shared = common.bit_count()
-    if shared == 0:
-        kind, facet = PairKind.COMPLEMENTARY, None
-    elif shared == 1:
-        kind, facet = PairKind.ALMOST_COMPLEMENTARY, common.bit_length() - 1
-    else:
-        kind, facet = PairKind.EXCLUDED, None
-    return PairNode(min(u, v), max(u, v), kind, facet)
+    return _node(min(u, v), max(u, v), facets.masks[u] & facets.masks[v])
+
+
+def _node(u: int, v: int, common: int) -> PairNode:
+    """Node of the pair u < v whose vertices share the facets set in ``common``."""
+    if not common:
+        return PairNode(u, v, PairKind.COMPLEMENTARY, None)
+    if common & (common - 1):
+        return PairNode(u, v, PairKind.EXCLUDED, None)
+    return PairNode(u, v, PairKind.ALMOST_COMPLEMENTARY, common.bit_length() - 1)
 
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:
     """Refuse unless P is simple with dim P > 1.  Each public entry point
-    runs this once; a pass is remembered on ``facets`` (for this ``p``) so
-    that ``arcs_from``, called at every walk step, does not re-run it."""
+    runs this once; it is O(1) after the first run on ``facets``, which
+    caches its facet counts.  A pass is remembered on ``facets`` (for this
+    ``p``) so that ``arcs_from``, called at every walk step, skips even that."""
     d = p.dimension
     if d <= 1:
         raise UnsupportedPolytopeError(f"pair-graph walks need dimension > 1, got {d}")
@@ -109,21 +110,22 @@ def arcs_from(
     masks = facets.masks
     arcs = []
     for stay, move in ((node.u, node.v), (node.v, node.u)):
+        m_stay, m_move = masks[stay], masks[move]
         for x in neighbors[move]:
-            if x == stay:
-                continue
             # skip when one facet holds all three: the kept vertex and the
             # moved edge must lie on no common facet
-            if masks[stay] & masks[move] & masks[x]:
+            if x == stay or m_stay & m_move & masks[x]:
                 continue
-            head = pair_node(p, facets, stay, x)
+            lo, hi = min(stay, x), max(stay, x)
+            if lo < 0 or hi >= p.vertex_count:
+                _check_pair(p.vertex_count, stay, x, "a pair consists of two distinct vertices")
+            head = _node(lo, hi, m_stay & masks[x])
             if head.kind is PairKind.EXCLUDED:
                 raise RuntimeError(
                     f"internal invariant violated: move {node.pair} -> {head.pair} "
                     "left the pair graph"
                 )
-            facet_set = facets.ids(masks[stay] | (masks[move] & masks[x]))
-            arcs.append(PairArc(node, head, move, facet_set))
+            arcs.append(PairArc(node, head, move, facets.ids(m_stay | (m_move & masks[x]))))
     return arcs
 
 
@@ -221,23 +223,28 @@ def disjoint_pairs(
 
 
 def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list[int]:
-    """Breadth-first shortest path, deterministic by ascending neighbor order."""
-    pred: dict[int, int | None] = {source: None}
-    queue = deque([source])
-    while queue:
-        w = queue.popleft()
-        if w == target:
-            path = []
-            cur: int | None = w
-            while cur is not None:
-                path.append(cur)
-                cur = pred[cur]
-            return path[::-1]
-        for x in neighbors[w]:
-            if x not in pred:
-                pred[x] = w
-                queue.append(x)
-    raise RuntimeError(f"polytope graph is disconnected between {source} and {target}")
+    """Breadth-first shortest path, deterministic by ascending neighbor order:
+    layer by layer, each predecessor kept in a flat list from the vertex's
+    first discovery on, stopping once ``target`` is discovered; O(V + E)."""
+    pred = [-1] * len(neighbors)
+    pred[source] = source
+    layer = [source]
+    while layer and pred[target] < 0:
+        discovered = []
+        for w in layer:
+            for x in neighbors[w]:
+                if pred[x] < 0:
+                    pred[x] = w
+                    discovered.append(x)
+            if pred[target] >= 0:
+                break
+        layer = discovered
+    if pred[target] < 0:
+        raise RuntimeError(f"polytope graph is disconnected between {source} and {target}")
+    path = [target]
+    while path[-1] != source:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,56 @@ def test_arc_counts_on_every_node(embedded):
     _check_arcs(p, facets, neighbors)
 
 
+# start -> (second_pair, second pair of disjoint_pairs), in image labels;
+# disjoint_pairs keeps the start as its first pair on both
+WALK_ANSWERS = {
+    4: {
+        (0, 15): ((1, 17), (1, 17)),
+        (1, 17): ((0, 15), (0, 15)),
+        (3, 19): ((7, 12), (7, 12)),
+        (5, 13): ((1, 17), (1, 17)),
+        (7, 12): ((3, 19), (3, 19)),
+        (8, 10): ((5, 13), (5, 13)),
+    },
+    6: {
+        (0, 84): ((1, 89), (1, 89)),
+        (1, 89): ((0, 84), (0, 84)),
+        (3, 92): ((9, 102), (9, 102)),
+        (5, 98): ((12, 99), (12, 99)),
+        (7, 91): ((1, 89), (1, 89)),
+        (9, 102): ((3, 92), (3, 92)),
+        (11, 74): ((7, 91), (7, 91)),
+        (12, 99): ((5, 98), (5, 98)),
+        (17, 107): ((38, 80), (38, 80)),
+        (23, 111): ((44, 76), (44, 76)),
+        (26, 81): ((9, 102), (9, 102)),
+        (27, 87): ((51, 65), (51, 65)),
+        (29, 62): ((11, 74), (11, 74)),
+        (34, 71): ((12, 99), (12, 99)),
+        (38, 80): ((17, 107), (17, 107)),
+        (44, 76): ((23, 111), (23, 111)),
+        (45, 56): ((29, 62), (29, 62)),
+        (46, 63): ((26, 81), (26, 81)),
+        (50, 59): ((34, 71), (34, 71)),
+        (51, 65): ((27, 87), (27, 87)),
+    },
+}
+
+
+@pytest.mark.parametrize("d", sorted(WALK_ANSWERS))
+def test_walk_answers_on_dual_cyclic_are_pinned(d):
+    # C_4(8)* and C_6(12)* (the cyclic-walk input): exact answers, so a
+    # different tie-break in the arc order or the BFS shows
+    p, _ = _embed(wl.dual_cyclic(d))
+    facets = detect_facets(p)
+    neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
+    expected = WALK_ANSWERS[d]
+    assert all_complementary_pairs(p, facets) == list(expected)
+    for start, (found, disjoint) in expected.items():
+        assert second_pair(p, facets, neighbors, start) == found
+        assert disjoint_pairs(p, facets, neighbors, start) == (start, disjoint)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_non_simple_products_take_the_fallback(k):
     # bipyramid3 x cube(k): equator vertices lie on 4 + k facets

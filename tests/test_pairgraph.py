@@ -1,12 +1,14 @@
 """Pair-graph structure and the constructive walks."""
 
+import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
-from polyadj.core import UnsupportedPolytopeError, detect_facets, is_simple
+from polyadj.core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
 from polyadj.generators import cube, prism3, simplex, slack_embed
 from polyadj import pairgraph
 from polyadj.pairgraph import (
@@ -201,6 +203,45 @@ def test_disjoint_pairs_every_start():
             assert len({*first, *second}) == 4
 
 
+# start -> (second_pair, second pair of disjoint_pairs); disjoint_pairs keeps
+# the start as its first pair on both
+WALK_ANSWERS = {
+    "cube(4)": {
+        (0, 15): ((1, 14), (1, 14)),
+        (1, 14): ((0, 15), (0, 15)),
+        (2, 13): ((0, 15), (0, 15)),
+        (3, 12): ((1, 14), (1, 14)),
+        (4, 11): ((0, 15), (0, 15)),
+        (5, 10): ((1, 14), (1, 14)),
+        (6, 9): ((2, 13), (2, 13)),
+        (7, 8): ((3, 12), (3, 12)),
+    },
+    "truncated_cube": {
+        (0, 8): ((1, 8), (2, 9)),
+        (0, 9): ((1, 8), (1, 8)),
+        (1, 8): ((0, 8), (4, 6)),
+        (2, 7): ((0, 9), (0, 9)),
+        (2, 9): ((0, 9), (3, 7)),
+        (3, 7): ((2, 7), (4, 6)),
+        (4, 5): ((2, 7), (2, 7)),
+        (4, 6): ((1, 8), (1, 8)),
+        (5, 9): ((0, 9), (4, 6)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ANSWERS))
+def test_walk_answers_are_pinned(name):
+    # exact answers, so a different tie-break in the arc order or the BFS shows
+    p = cube(4) if name == "cube(4)" else slack_embed(orc.fixture(name))
+    facets, neighbors = graph_inputs(p)
+    expected = WALK_ANSWERS[name]
+    assert all_complementary_pairs(p, facets) == list(expected)
+    for start, (found, disjoint) in expected.items():
+        assert second_pair(p, facets, neighbors, start) == found
+        assert disjoint_pairs(p, facets, neighbors, start) == (start, disjoint)
+
+
 def test_walk_argument_errors():
     p = cube(3)
     facets, neighbors = graph_inputs(p)
@@ -269,6 +310,67 @@ def test_walks_refuse_unsupported_polytopes():
     facets, neighbors = graph_inputs(seg)
     with pytest.raises(UnsupportedPolytopeError, match="dimension > 1"):
         second_pair(seg, facets, neighbors, (0, 1))
+
+
+# Every proper vertex subset (two or more vertices) of three fixtures, on the
+# fixture's own A and b: lists the walks are not meant for.  Each outcome line
+# is "<fixture> <subset> <walk> <start> -> <answer or exception>".
+OUT_OF_CONTRACT = {
+    "walks": 5598,
+    "outcomes": {"answer": 524, "UnsupportedPolytopeError": 4964, "RuntimeError": 110},
+    "sha256": "780db86619d06e2a028b1a84017043309447b44edc903c1b3bec77f429626d2f",
+}
+
+
+def test_walks_on_vertex_subsets_are_pinned():
+    lines, outcomes = [], Counter()
+    for name, h in (("cube", orc.fixture("cube", 3)),
+                    ("truncated_cube", orc.fixture("truncated_cube")),
+                    ("prism3", orc.fixture("prism3"))):
+        full = slack_embed(h)
+        for k in range(2, full.vertex_count):
+            for subset in combinations(range(full.vertex_count), k):
+                p = Polytope(full.A, full.b, [full.vertices[i] for i in subset])
+                facets, neighbors = graph_inputs(p)
+                for start in all_complementary_pairs(p, facets):
+                    for walk in (second_pair, disjoint_pairs):
+                        # any other exception type escapes and fails the test
+                        try:
+                            outcome, kind = repr(walk(p, facets, neighbors, start)), "answer"
+                        except (UnsupportedPolytopeError, RuntimeError) as e:
+                            kind = type(e).__name__
+                            outcome = f"{kind}: {e}"
+                        outcomes[kind] += 1
+                        lines.append(f"{name} {subset} {walk.__name__} {start} -> {outcome}")
+    assert len(lines) == OUT_OF_CONTRACT["walks"]
+    assert outcomes == OUT_OF_CONTRACT["outcomes"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OUT_OF_CONTRACT["sha256"]
+
+
+# -- shortest path -----------------------------------------------------------
+
+
+def test_shortest_path_takes_the_lowest_neighbor_first():
+    # a 4-cycle: 0-1-3 and 0-2-3 are both shortest; row order decides
+    assert pairgraph._shortest_path([[1, 2], [0, 3], [0, 3], [1, 2]], 0, 3) == [0, 1, 3]
+    assert pairgraph._shortest_path([[2, 1], [3, 0], [3, 0], [2, 1]], 0, 3) == [0, 2, 3]
+    assert pairgraph._shortest_path([[1], [0]], 1, 1) == [1]
+
+
+def test_shortest_path_stops_once_the_target_is_discovered():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("row read after the target was discovered")
+
+    # 1 discovers the target 3 before 2, in the same layer, is expanded
+    assert pairgraph._shortest_path([[1, 2], [0, 3], Unread(), Unread()], 0, 3) == [0, 1, 3]
+
+
+def test_shortest_path_reports_a_disconnected_graph():
+    with pytest.raises(RuntimeError) as err:
+        pairgraph._shortest_path([[1], [0], [3], [2]], 0, 2)
+    assert str(err.value) == "polytope graph is disconnected between 0 and 2"
 
 
 # -- parity -------------------------------------------------------------------
