@@ -26,16 +26,20 @@ class Verdict(Enum):
 
 
 class AdjacencyOracle:
-    """Scan products of :func:`precompute` (join map, dimension, simplicity)
-    and their polytope in plain ``__slots__`` fields: reassignable, not frozen."""
+    """Scan products of :func:`precompute` (join map, simplicity) and their
+    polytope in plain ``__slots__`` fields: reassignable, not frozen.
+    ``dim`` and ``zero_sets`` are read from the polytope."""
 
-    __slots__ = ("join_map", "dim", "simple", "polytope")
+    __slots__ = ("join_map", "simple", "polytope")
 
-    def __init__(self, join_map: JoinMap, dim: int, simple: bool, polytope: Polytope) -> None:
+    def __init__(self, join_map: JoinMap, simple: bool, polytope: Polytope) -> None:
         self.join_map = join_map
-        self.dim = dim
         self.simple = simple
         self.polytope = polytope
+
+    @property
+    def dim(self) -> int:
+        return self.polytope.dimension
 
     @property
     def zero_sets(self):
@@ -58,8 +62,7 @@ def precompute(p: Polytope) -> AdjacencyOracle:
     for u, v in jm.unique_pairs():
         partners[u] += 1
         partners[v] += 1
-    simple = all(k == d for k in partners)
-    return AdjacencyOracle(jm, d, simple, p)
+    return AdjacencyOracle(jm, all(k == d for k in partners), p)
 
 
 def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]:

@@ -16,8 +16,8 @@ zero tests, ranks and face dimensions are exact; a Polytope holds and
 validates rows and vertices scaled to ints by the lcm of their denominators,
 and builds its ``Fraction`` tuples on first read.  A Polytope, ZeroSet or
 Facet never changes in value once built, so threads may share it for reads.
-A ``Facets`` catalogue can (``pairgraph`` notes walk checks on it), and so
-can an ``AdjacencyOracle`` and a ``JoinMap`` until it is frozen.
+Nor does a ``Facets`` catalogue, which only caches its facet counts; an
+``AdjacencyOracle`` can, and so can a ``JoinMap`` until it is frozen.
 """
 
 from __future__ import annotations
@@ -197,12 +197,17 @@ def rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     return len(_rref(rows)[1])
 
 
-def _check_pair(count: int, u: int, v: int, same: str) -> None:
-    """Refuse indices outside 0..count - 1, then equal ones, with message ``same``."""
-    for k in (u, v):
+def _check_index(count: int, *indices: int) -> None:
+    """Refuse the first of ``indices`` outside 0..count - 1."""
+    for k in indices:
         if not 0 <= k < count:
             raise ValueError(f"vertex index {k} out of range 0..{count - 1}")
-    if u == v:
+
+
+def _check_pair(count: int, u: int, v: int, same: str) -> None:
+    """Refuse indices outside 0..count - 1, then equal ones, with message ``same``."""
+    if not (0 <= u < count and 0 <= v < count and u != v):
+        _check_index(count, u, v)
         raise ValueError(same)
 
 
@@ -309,8 +314,7 @@ class Polytope:
         return tuple(ZeroSet(self.n, bits) for bits in self._zero_bits)
 
     def zero_set(self, vertex_index: int) -> ZeroSet:
-        if not 0 <= vertex_index < self.vertex_count:
-            raise ValueError(f"vertex index {vertex_index} out of range 0..{self.vertex_count - 1}")
+        _check_index(self.vertex_count, vertex_index)
         return self.zero_sets[vertex_index]
 
     @cached_property
@@ -337,15 +341,20 @@ def _face(p: Polytope, bits: int) -> int:
     return verts
 
 
+def _zero_face(p: Polytope, s: ZeroSet) -> int:
+    """:func:`_face` of ``s``, refused unless ``s`` has P's width."""
+    if s.width != p.n:
+        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
+    return _face(p, s.bits)
+
+
 def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
     """Indices of vertices on the face where every coordinate in ``s`` vanishes.
 
     Ascending order. Empty when no vertex satisfies ``s``.  An AND of the
     coordinate faces of the |s| coordinates in ``s``, then O(k) for k vertices.
     """
-    if s.width != p.n:
-        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
-    return list(_bits(_face(p, s.bits)))
+    return list(_bits(_zero_face(p, s)))
 
 
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
@@ -356,9 +365,7 @@ def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     operations on V-bit ints.  Exact when the vertex list is correct and
     complete; on an incomplete list it can fall below the affine rank of the
     face's points, never above it."""
-    if s.width != p.n:
-        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
-    face = _face(p, s.bits)
+    face = _zero_face(p, s)
     if not face:
         return None
     d = 0
@@ -421,8 +428,7 @@ class Facets:
 
     def of_vertex(self, vertex_index: int) -> frozenset[int]:
         """Ids of the facets containing the given vertex."""
-        if not 0 <= vertex_index < len(self.masks):
-            raise ValueError(f"vertex index {vertex_index} out of range 0..{len(self.masks) - 1}")
+        _check_index(len(self.masks), vertex_index)
         return self.ids(self.masks[vertex_index])
 
 

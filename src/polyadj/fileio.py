@@ -11,14 +11,17 @@ Layout, whitespace-separated with ``#`` comments ignored to end of line::
     <V rows of n rationals>
 
 Rationals are an optionally signed integer, or ``p/q`` with unsigned
-positive ``q``.  Each row is read straight into ints and validated on them;
-``Fraction`` tuples wait until a caller reads them.  Output is deterministic:
-same section order, one row per line, rationals in lowest terms.
+positive ``q``, in ASCII digits; an integer longer than ``int`` converts
+(``sys.get_int_max_str_digits()``) is refused with its line.  Each row is
+read straight into ints and validated on them; ``Fraction`` tuples wait
+until a caller reads them.  Output is deterministic: same section order,
+one row per line, rationals in lowest terms.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable, Iterator
 from itertools import groupby, islice
 from math import gcd, lcm
@@ -27,8 +30,8 @@ from .core import Polytope, ValidationError
 
 __all__ = ["format_polytope", "parse_polytope"]
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_INTEGER = re.compile(r"[+-]?\d+\Z")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 _Stream = Iterator[tuple[int, str]]  # (line number, token)
 
 
@@ -66,11 +69,23 @@ def _take(tokens: _Stream, what: str) -> tuple[int, str]:
     return item
 
 
+def _too_long(items: list[tuple[int, str]], what: Callable[[int], str]) -> ValidationError:
+    """The refusal of the first entry, among well-formed ``items``, with an
+    integer past the digit limit of ``int``, which raised without a line."""
+    limit = sys.get_int_max_str_digits()
+    i, line = next((i, line) for i, (line, tok) in enumerate(items)
+                   if max(len(part.lstrip("+-")) for part in tok.split("/")) > limit)
+    return ValidationError(f"line {line}: {what(i)} has more than {limit} digits")
+
+
 def _integer(tokens: _Stream, what: str) -> int:
     line, tok = _take(tokens, what)
     if not _INTEGER.match(tok):
         raise ValidationError(f"line {line}: expected integer for {what}, got {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        raise _too_long([(line, tok)], lambda i: what) from None
 
 
 def _literal(tokens: _Stream, word: str) -> None:
@@ -82,19 +97,24 @@ def _literal(tokens: _Stream, word: str) -> None:
 def _row(tokens: _Stream, count: int, what: Callable[[int], str]) -> tuple[int, tuple[int, ...]]:
     """The next ``count`` rationals as ``(scale, ints)``: the lcm of their
     denominators in lowest terms, and the row times it.  Tokens are checked
-    in order; ``what(i)`` names entry i in an error message."""
+    in order, and only a whole row is converted, so an over-long entry is
+    refused last; ``what(i)`` names entry i in an error message."""
     items = list(islice(tokens, count))
     for i, (line, tok) in enumerate(items):
         if not _RATIONAL.match(tok):
             raise ValidationError(f"line {line}: malformed rational for {what(i)}: {tok!r}")
-        if "/" in tok and not int(tok.partition("/")[2]):
+        if "/" in tok and not tok.partition("/")[2].strip("0"):
             raise ValidationError(f"line {line}: zero denominator for {what(i)}: {tok!r}")
     if len(items) < count:
         raise _Misaligned(f"unexpected end of input: expected {what(len(items))}")
     toks = [tok for _, tok in items]
-    if "/" not in "".join(toks):
-        return 1, tuple(map(int, toks))
-    ratios = [(int(num), int(den or 1)) for num, _, den in (tok.partition("/") for tok in toks)]
+    try:
+        if "/" not in "".join(toks):
+            return 1, tuple(map(int, toks))
+        ratios = [(int(num), int(den or 1))
+                  for num, _, den in (tok.partition("/") for tok in toks)]
+    except ValueError:
+        raise _too_long(items, what) from None
     scale = lcm(*(q for _, q in ratios))
     ints = [p * (scale // q) for p, q in ratios]
     g = gcd(scale, *ints)  # 1 when scale is the lcm of the denominators in lowest terms

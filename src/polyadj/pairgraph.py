@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Facets, Polytope, UnsupportedPolytopeError, _check_pair, is_simple
+from .core import Facets, Polytope, UnsupportedPolytopeError, _check_index, _check_pair, is_simple
 
 __all__ = ["PairArc", "PairKind", "PairNode", "ParityReport", "all_complementary_pairs",
            "arcs_from", "classify_pair", "disjoint_pairs", "pair_node", "second_pair", "to_dot",
@@ -76,10 +76,9 @@ def _node(u: int, v: int, common: int) -> PairNode:
 
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:
-    """Refuse unless P is simple with dim P > 1.  Each public entry point
-    runs this once; it is O(1) after the first run on ``facets``, which
-    caches its facet counts.  A pass is remembered on ``facets`` (for this
-    ``p``) so that ``arcs_from``, called at every walk step, skips even that."""
+    """Refuse unless P is simple with dim P > 1; return dim P.  Each public
+    entry point runs this, ``arcs_from`` at every walk step: O(1) after the
+    first run on ``facets``, which caches its facet counts."""
     d = p.dimension
     if d <= 1:
         raise UnsupportedPolytopeError(f"pair-graph walks need dimension > 1, got {d}")
@@ -88,7 +87,6 @@ def _require_walkable(p: Polytope, facets: Facets) -> int:
             "pair-graph walks need a simple polytope; use the combinatorial "
             "adjacency test instead"
         )
-    facets._walkable_in = p
     return d
 
 
@@ -101,25 +99,23 @@ def arcs_from(
     A complementary node has 2d arcs with pairwise different facet sets; a
     one-common-facet node has exactly 2 arcs with the same facet set.  Facet
     sets have 2d - 1 elements.  Refuses a polytope that is not simple with
-    dim P > 1, checked once per ``(p, facets)``.
+    dim P > 1, and a neighbor index outside 0..V - 1 before it is read.
     """
-    if getattr(facets, "_walkable_in", None) is not p:
-        _require_walkable(p, facets)
+    _require_walkable(p, facets)
     if node.kind is PairKind.EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
-    masks = facets.masks
+    masks, count = facets.masks, p.vertex_count
     arcs = []
     for stay, move in ((node.u, node.v), (node.v, node.u)):
         m_stay, m_move = masks[stay], masks[move]
         for x in neighbors[move]:
+            if not 0 <= x < count:  # before masks[x] can raise or wrap round
+                _check_index(count, x)
             # skip when one facet holds all three: the kept vertex and the
             # moved edge must lie on no common facet
             if x == stay or m_stay & m_move & masks[x]:
                 continue
-            lo, hi = min(stay, x), max(stay, x)
-            if lo < 0 or hi >= p.vertex_count:
-                _check_pair(p.vertex_count, stay, x, "a pair consists of two distinct vertices")
-            head = _node(lo, hi, m_stay & masks[x])
+            head = _node(min(stay, x), max(stay, x), m_stay & masks[x])
             if head.kind is PairKind.EXCLUDED:
                 raise RuntimeError(
                     f"internal invariant violated: move {node.pair} -> {head.pair} "
@@ -281,22 +277,15 @@ def to_dot(p: Polytope, facets: Facets, neighbors: list[list[int]]) -> str:
     """DOT dump of the whole pair graph, nodes labeled "u,v:A|B", arcs
     labeled with their facet-set ids. For inspection and golden tests."""
     _require_walkable(p, facets)
-    nodes = []
-    for u in range(p.vertex_count):
-        for v in range(u + 1, p.vertex_count):
-            node = pair_node(p, facets, u, v)
-            if node.kind is not PairKind.EXCLUDED:
-                nodes.append(node)
+    nodes = [node for u in range(p.vertex_count) for v in range(u + 1, p.vertex_count)
+             if (node := pair_node(p, facets, u, v)).kind is not PairKind.EXCLUDED]
     lines = ["graph pairs {"]
     for node in nodes:
         lines.append(f'  "{node.u},{node.v}" [label="{node.u},{node.v}:{node.kind.value}"];')
-    seen = set()
     for node in nodes:
         for arc in arcs_from(p, facets, neighbors, node):
-            key = tuple(sorted((arc.tail.pair, arc.head.pair)))
-            if key in seen:
+            if arc.head.pair < arc.tail.pair:  # listed already, from the head
                 continue
-            seen.add(key)
             label = "{" + ",".join(map(str, sorted(arc.facet_set))) + "}"
             lines.append(
                 f'  "{arc.tail.u},{arc.tail.v}" -- "{arc.head.u},{arc.head.v}" '

@@ -208,6 +208,14 @@ def test_pair_queries_build_no_zero_set(monkeypatch):
     assert [answers(*case) for case in cases] == want
 
 
+def test_oracle_dim_follows_its_polytope():
+    o = precompute(cube(3))
+    assert o.dim == 3
+    o.polytope = cube(4)
+    assert o.dim == 4
+    assert repr(o) == "AdjacencyOracle(dim=4, simple=True)"
+
+
 def test_oracle_reads_one_polytope():
     # the zero sets and the masks a query reads both come from the oracle's
     # polytope, so reassigning its fields leaves nothing stale

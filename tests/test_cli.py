@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, stdin/file input."""
 
+import contextlib
 import hashlib
 import io
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyadj
 from polyadj import generators
@@ -358,6 +360,49 @@ def test_exit_4_on_invariant_violation(capsys, tmp_path):
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# every generator's file, as token lists with each line break a token of its own
+_GEN_TOKENS = [format_polytope(build(3) if takes_dim else build()).replace("\n", " \n ").split(" ")
+               for build, takes_dim in generators._GENERATORS.values()]
+_HOSTILE = ["0", "-1", "2", "9", "1/2", "1/0", "-0/3", "\u0661", "x", "#", "A", "b",
+            "vertices", "\n", "7" * (sys.get_int_max_str_digits() + 1)]
+_EDITS = st.tuples(st.sampled_from(["swap", "delete", "insert"]), st.integers(0, 999),
+                   st.integers(0, 999), st.sampled_from(_HOSTILE))
+
+
+def _mutated(tokens: list[str], edits) -> str:
+    tokens = list(tokens)
+    for op, i, j, new in edits:
+        i, j = i % len(tokens), j % len(tokens)
+        if op == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == "delete" and len(tokens) > 1:
+            del tokens[i]
+        elif op == "insert":
+            tokens.insert(i, new if j % 2 else tokens[j])
+    return " ".join(tokens)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(_GEN_TOKENS), st.lists(_EDITS, min_size=1, max_size=4),
+       st.sampled_from(["info", "adjacent", "graph", "complementary", "second-pair",
+                        "disjoint-pairs", "parity"]),
+       st.integers(-2, 13), st.integers(-2, 13))
+def test_hostile_files_end_in_one_line(tokens, edits, command, u, v):
+    # swapped, deleted and inserted tokens: an exit code and at most one
+    # stderr line, never an exception out of main
+    argv = [command] + ([str(u), str(v)] if command in ("adjacent", "second-pair",
+                                                         "disjoint-pairs") else [])
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(_mutated(tokens, edits))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 def test_usage_errors_from_argparse(capsys):

@@ -317,6 +317,12 @@ def test_face_vertices_width_mismatch():
         face_vertices(cube(3), ZeroSet(5, 0))
 
 
+def test_face_dimension_width_mismatch():
+    # the one width-checked face that face_vertices reads, with its message
+    with pytest.raises(ValueError, match=r"^zero set width 5 does not match n=6$"):
+        face_dimension(cube(3), ZeroSet(5, 0))
+
+
 def test_face_dimension_ladder():
     p = cube(3)
     assert face_dimension(p, ZeroSet(6, 0)) == 3

@@ -33,6 +33,7 @@ from polyadj.pairgraph import (
     disjoint_pairs,
     pair_node,
     second_pair,
+    to_dot,
     verify_2d_parity,
 )
 
@@ -150,6 +151,23 @@ def test_walk_answers_on_dual_cyclic_are_pinned(d):
     for start, (found, disjoint) in expected.items():
         assert second_pair(p, facets, neighbors, start) == found
         assert disjoint_pairs(p, facets, neighbors, start) == (start, disjoint)
+
+
+# sha256 of the whole to_dot text: each arc once, from its lower node
+DOT_SHA256 = {
+    "cube(3)": "98b30784079a766b0509fd8657c4c628b419652fbcd8239b5580c90f67a34e21",
+    "truncated_cube": "9dfbe1ac3e4cd83d9aa8174c862a7a6cf081e3277adb36904675c29a19592494",
+    "dual_cyclic(4)": "e7f1581a1bcc62a89113221fa48e69971c39bb6da045366d5e6069e39abc15f0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_SHA256))
+def test_to_dot_text_is_pinned(name):
+    p = {"cube(3)": lambda: cube(3),
+         "truncated_cube": lambda: slack_embed(orc.fixture("truncated_cube")),
+         "dual_cyclic(4)": lambda: _embed(wl.dual_cyclic(4))[0]}[name]()
+    dot = to_dot(p, detect_facets(p), neighbor_lists(p.vertex_count, all_pairs_adjacency(p)))
+    assert hashlib.sha256(dot.encode()).hexdigest() == DOT_SHA256[name]
 
 
 @pytest.mark.parametrize("k", [2, 3])

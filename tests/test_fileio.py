@@ -1,5 +1,6 @@
 """Polytope file parsing and deterministic formatting."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,37 @@ def test_parse_errors_name_the_spot():
         parse_polytope("2 1 0\nA\n1 1\nb\n1\nvertices\n")
     with pytest.raises(ValidationError, match="nonnegative"):
         parse_polytope("2 -1 1\nA\nb\nvertices\n1 0\n")
+
+
+def test_parse_reads_ascii_digits_only():
+    # Arabic-Indic digits match \d and int() reads them, but a file holds ASCII
+    text = format_polytope(cube(3)).replace("1", "\u0661")
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(text)
+    assert str(err.value) == "line 3: malformed rational for A row 0 entry 0: '\u0661'"
+    with pytest.raises(ValidationError) as err:
+        parse_polytope("\u0664 2 4")
+    assert str(err.value) == "line 1: expected integer for coordinate count n, got '\u0664'"
+
+
+def test_parse_names_the_line_of_an_over_long_entry():
+    # int() refuses these with no line; the process-wide limit is left alone
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    cases = {
+        f"{long} 2 4": "line 1: coordinate count n",
+        CUBE2_FILE.replace("0 1 1 0", f"0 -{long} 1 0"): "line 9: vertex 1 coordinate 2",
+        CUBE2_FILE.replace("1 1 0 0", f"1 1 0 0/{long}"): "line 11: vertex 3 coordinate 4",
+        CUBE2_FILE.replace("b\n1 1", f"b\n1 1/{long}"): "line 6: b entry 1",
+    }
+    for text, where in cases.items():
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == f"{where} has more than {limit} digits"
+    # the limit itself still converts
+    at_limit = CUBE2_FILE.replace("0 0 1 1", f"-{'0' * limit} 0 1/{'0' * (limit - 1)}1 1")
+    assert format_polytope(parse_polytope(at_limit)) == CUBE2_FILE
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_errors_name_a_ragged_row():

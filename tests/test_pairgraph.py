@@ -128,6 +128,19 @@ def test_arcs_from_rejects_excluded_pairs():
         arcs_from(p, facets, neighbors, pair_node(p, facets, 0, 1))
 
 
+def test_arcs_from_refuses_out_of_range_neighbors():
+    # each neighbor is checked before its facet mask is read: 8 would index
+    # past the masks, -1 would read vertex 7's mask, and -8 vertex 0's, which
+    # shares the facet of {0, 6} and so would be skipped with no error
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    for pair, bad in (((0, 7), 8), ((0, 7), -1), ((0, 6), -8)):
+        broken = [list(row) for row in neighbors]
+        broken[pair[1]].append(bad)
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 0\.\.7$"):
+            arcs_from(p, facets, broken, pair_node(p, facets, *pair))
+
+
 def test_arc_laws_over_fixtures():
     # degree and facet-set laws on every node, including a product polytope
     cases = [cube(3), cube(4), prism3(),
@@ -282,21 +295,49 @@ def test_walk_stops_at_first_repeated_pair(monkeypatch):
     assert visited == [(0, 1), (0, 2), (0, 3)]
 
 
-def test_walks_check_simplicity_once(monkeypatch):
-    calls = []
+def test_second_pair_refuses_a_walk_back_to_its_start(monkeypatch):
+    # a broken pair graph whose forced walk leads from (0, 7) back to (0, 7)
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    start, first = pair_node(p, facets, 0, 7), pair_node(p, facets, neighbors[0][0], 7)
+    other = PairNode(2, 7, PairKind.ALMOST_COMPLEMENTARY, 0)
+    loop = {first: (start, other), other: (first, start)}
 
-    def counted(p, facets=None):
-        calls.append(1)
-        return is_simple(p, facets)
+    def loop_arcs(p, facets, neighbors, node):
+        return [PairArc(node, head, 0, frozenset()) for head in loop[node]]
 
-    monkeypatch.setattr(pairgraph, "is_simple", counted)
+    monkeypatch.setattr(pairgraph, "arcs_from", loop_arcs)
+    with pytest.raises(RuntimeError, match="^walk returned to its starting pair$"):
+        second_pair(p, facets, neighbors, (0, 7))
+
+
+def test_disjoint_pairs_refuses_a_path_with_no_pivot(monkeypatch):
+    # a path that stops short of v never meets a facet of v, so has no pivot
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    monkeypatch.setattr(pairgraph, "_shortest_path", lambda neighbors, u, v: [u])
+    with pytest.raises(RuntimeError,
+                       match="^no pivot on a path between complementary partners$"):
+        disjoint_pairs(p, facets, neighbors, (0, 7))
+
+
+def test_walks_check_simplicity_once():
+    # the per-vertex facet counts behind the simplicity check are computed
+    # once per catalogue: after the first walk, a catalogue whose masks can
+    # be indexed but not iterated still answers every later walk
+    class Unscanned(tuple):
+        def __iter__(self):
+            raise AssertionError("facet masks scanned again")
+
     for p in (cube(4), slack_embed(orc.fixture("truncated_cube"))):
         facets, neighbors = graph_inputs(p)
-        for walk in (second_pair, disjoint_pairs):
-            for start in all_complementary_pairs(p, facets):
-                calls.clear()
-                walk(p, facets, neighbors, start)
-                assert len(calls) == 1
+        starts = all_complementary_pairs(p, facets)
+        expected = [walk(p, detect_facets(p), neighbors, start)
+                    for walk in (second_pair, disjoint_pairs) for start in starts]
+        second_pair(p, facets, neighbors, starts[0])
+        facets.masks = Unscanned(facets.masks)
+        assert [walk(p, facets, neighbors, start)
+                for walk in (second_pair, disjoint_pairs) for start in starts] == expected
 
 
 def test_walks_refuse_unsupported_polytopes():
