@@ -69,23 +69,13 @@ def _take(tokens: _Stream, what: str) -> tuple[int, str]:
     return item
 
 
-def _too_long(items: list[tuple[int, str]], what: Callable[[int], str]) -> ValidationError:
-    """The refusal of the first entry, among well-formed ``items``, with an
-    integer past the digit limit of ``int``, which raised without a line."""
-    limit = sys.get_int_max_str_digits()
-    i, line = next((i, line) for i, (line, tok) in enumerate(items)
-                   if max(len(part.lstrip("+-")) for part in tok.split("/")) > limit)
-    return ValidationError(f"line {line}: {what(i)} has more than {limit} digits")
-
-
 def _integer(tokens: _Stream, what: str) -> int:
     line, tok = _take(tokens, what)
     if not _INTEGER.match(tok):
         raise ValidationError(f"line {line}: expected integer for {what}, got {tok!r}")
-    try:
-        return int(tok)
-    except ValueError:
-        raise _too_long([(line, tok)], lambda i: what) from None
+    if (limit := sys.get_int_max_str_digits()) and len(tok.lstrip("+-")) > limit:
+        raise ValidationError(f"line {line}: {what} has more than {limit} digits")
+    return int(tok)
 
 
 def _literal(tokens: _Stream, word: str) -> None:
@@ -97,24 +87,27 @@ def _literal(tokens: _Stream, word: str) -> None:
 def _row(tokens: _Stream, count: int, what: Callable[[int], str]) -> tuple[int, tuple[int, ...]]:
     """The next ``count`` rationals as ``(scale, ints)``: the lcm of their
     denominators in lowest terms, and the row times it.  Tokens are checked
-    in order, and only a whole row is converted, so an over-long entry is
-    refused last; ``what(i)`` names entry i in an error message."""
+    in order, and the first integer past ``int``'s digit limit (0: none) is
+    refused only after the whole row is checked; ``what(i)`` names entry i
+    in an error message."""
     items = list(islice(tokens, count))
+    limit, too_long = sys.get_int_max_str_digits(), ""
     for i, (line, tok) in enumerate(items):
         if not _RATIONAL.match(tok):
             raise ValidationError(f"line {line}: malformed rational for {what(i)}: {tok!r}")
         if "/" in tok and not tok.partition("/")[2].strip("0"):
             raise ValidationError(f"line {line}: zero denominator for {what(i)}: {tok!r}")
+        if (limit and len(tok) > limit and not too_long
+                and max(len(part.lstrip("+-")) for part in tok.split("/")) > limit):
+            too_long = f"line {line}: {what(i)} has more than {limit} digits"
     if len(items) < count:
         raise _Misaligned(f"unexpected end of input: expected {what(len(items))}")
+    if too_long:
+        raise ValidationError(too_long)
     toks = [tok for _, tok in items]
-    try:
-        if "/" not in "".join(toks):
-            return 1, tuple(map(int, toks))
-        ratios = [(int(num), int(den or 1))
-                  for num, _, den in (tok.partition("/") for tok in toks)]
-    except ValueError:
-        raise _too_long(items, what) from None
+    if "/" not in "".join(toks):
+        return 1, tuple(map(int, toks))
+    ratios = [(int(num), int(den or 1)) for num, _, den in (tok.partition("/") for tok in toks)]
     scale = lcm(*(q for _, q in ratios))
     ints = [p * (scale // q) for p, q in ratios]
     g = gcd(scale, *ints)  # 1 when scale is the lcm of the denominators in lowest terms

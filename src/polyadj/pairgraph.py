@@ -99,12 +99,14 @@ def arcs_from(
     A complementary node has 2d arcs with pairwise different facet sets; a
     one-common-facet node has exactly 2 arcs with the same facet set.  Facet
     sets have 2d - 1 elements.  Refuses a polytope that is not simple with
-    dim P > 1, and a neighbor index outside 0..V - 1 before it is read.
+    dim P > 1, and an index outside 0..V - 1 before its mask is read.
     """
     _require_walkable(p, facets)
     if node.kind is PairKind.EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
     masks, count = facets.masks, p.vertex_count
+    if not (0 <= node.u < count and 0 <= node.v < count):  # a bare PairNode is unchecked
+        _check_index(count, node.u, node.v)
     arcs = []
     for stay, move in ((node.u, node.v), (node.v, node.u)):
         m_stay, m_move = masks[stay], masks[move]

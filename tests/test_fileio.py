@@ -1,12 +1,16 @@
 """Polytope file parsing and deterministic formatting."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
+import polyadj
 from polyadj.core import ValidationError, ZeroSet
 from polyadj.fileio import format_polytope, parse_polytope
 from polyadj.generators import _GENERATORS, cube, truncated_cube
@@ -115,6 +119,22 @@ def test_parse_names_the_line_of_an_over_long_entry():
     at_limit = CUBE2_FILE.replace("0 0 1 1", f"-{'0' * limit} 0 1/{'0' * (limit - 1)}1 1")
     assert format_polytope(parse_polytope(at_limit)) == CUBE2_FILE
     assert sys.get_int_max_str_digits() == limit
+    # the row's other refusals come first, as before any entry is converted
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(CUBE2_FILE.replace("0 1 1 0", f"0 {long} 1 x"))
+    assert str(err.value) == "line 9: malformed rational for vertex 1 coordinate 4: 'x'"
+
+
+def test_parse_reads_any_length_when_int_has_no_digit_limit():
+    # a digit limit of 0 means none, so nothing is refused for its length
+    long = "7" * 5000
+    text = CUBE2_FILE.replace("1 0 1 0", f"1 0 1 0/{long}")
+    code = ("import sys; from polyadj.fileio import parse_polytope; "
+            "print(parse_polytope(sys.stdin.read()).vertex_count)")
+    env = dict(os.environ, PYTHONPATH=str(Path(polyadj.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=0", "-c", code],
+                          input=text, capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "4\n"
 
 
 def test_parse_errors_name_a_ragged_row():

@@ -139,6 +139,10 @@ def test_arcs_from_refuses_out_of_range_neighbors():
         broken[pair[1]].append(bad)
         with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 0\.\.7$"):
             arcs_from(p, facets, broken, pair_node(p, facets, *pair))
+    # so is the node's own pair, which a caller can build as a bare PairNode
+    for u, v, bad in ((-1, 0, -1), (0, 8, 8)):
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 0\.\.7$"):
+            arcs_from(p, facets, neighbors, PairNode(u, v, PairKind.COMPLEMENTARY, None))
 
 
 def test_arc_laws_over_fixtures():
