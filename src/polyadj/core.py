@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, log10
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
            "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "face_vertices",
@@ -53,6 +53,18 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
+
+
+def _shown(x: Fraction) -> str:
+    """``str(x)``, each of its ints past the digit limit of ``str(int)``
+    (``sys.get_int_max_str_digits()``) given as its digit count instead."""
+    def part(i: int) -> str:
+        try:
+            return str(i)
+        except ValueError:
+            k = int(abs(i).bit_length() * log10(2))  # the digit count is k or k + 1
+            return f"{'-' * (i < 0)}<{k + (abs(i) >= 10 ** k)} digits>"
+    return part(x.numerator) + (f"/{part(x.denominator)}" if x.denominator != 1 else "")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -216,6 +228,8 @@ class Polytope:
 
     Construction validates every vertex exactly (equalities hold, coordinates
     nonnegative, vertices pairwise distinct) and computes per-vertex zero sets.
+    The checks run on all vertices at once, a coordinate column at a time;
+    only when one fails does a loop over the vertices word the first refusal.
     The algorithms here presume the vertex list is correct and complete;
     boundedness and extremality of the listed points are not re-derived.
     Only ints are stored, each row of ``A``, ``b`` and each vertex as ``(scale,
@@ -265,24 +279,38 @@ class Polytope:
             R, bs = rhs
             equalities = [([(i, c * R) for i, c in enumerate(ints) if c], bj * S)
                           for (S, ints), bj in zip(self._rows, bs)]
-            seen: dict[tuple[int, tuple[int, ...]], int] = {}
-            for k, point in enumerate(self._points):
-                scale, xs = point
-                if min(xs) < 0:
-                    i = next(i for i, x in enumerate(xs) if x < 0)
-                    raise ValidationError(
-                        f"vertex {k}: coordinate {i + 1} is negative ({self.vertices[k][i]})")
-                for j, (terms, bj) in enumerate(equalities):
-                    if sum(c * xs[i] for i, c in terms) != bj * scale:
-                        lhs = sum(c * x for c, x in zip(self.A[j], self.vertices[k]))
-                        raise ValidationError(
-                            f"vertex {k}: equality row {j} gives {lhs}, expected {self.b[j]}"
-                        )
-                dup = seen.setdefault(point, k)  # equal points have equal reduced scalings
-                if dup != k:
-                    raise ValidationError(f"vertices {dup} and {k} are identical")
+            scales = [D for D, _ in self._points]
+            cols = list(zip(*(xs for _, xs in self._points)))  # one tuple per coordinate
+            # equal points have equal reduced scalings
+            valid = min(map(min, cols)) >= 0 and len(set(self._points)) == len(scales)
+            for terms, bj in equalities:
+                lhs = [0] * len(scales)  # row . v of every vertex v, a column at a time
+                for i, c in terms:
+                    lhs = [a + c * x for a, x in zip(lhs, cols[i])]
+                valid = valid and lhs == [bj * D for D in scales]
+            if not valid:
+                self._refuse(equalities)
         self._zero_bits = tuple(sum(1 << i for i, x in enumerate(xs) if not x)  # ZeroSet.bits
                                 for _, xs in self._points)
+
+    def _refuse(self, equalities: list[tuple[list[tuple[int, int]], int]]) -> None:
+        """Raises the first refusal, a vertex at a time in order: a negative
+        coordinate, a failed equality, then a vertex equal to an earlier one."""
+        seen: dict[tuple[int, tuple[int, ...]], int] = {}
+        for k, point in enumerate(self._points):
+            scale, xs = point
+            if min(xs) < 0:
+                i = next(i for i, x in enumerate(xs) if x < 0)
+                raise ValidationError(
+                    f"vertex {k}: coordinate {i + 1} is negative ({_shown(self.vertices[k][i])})")
+            for j, (terms, bj) in enumerate(equalities):
+                if sum(c * xs[i] for i, c in terms) != bj * scale:
+                    lhs = sum(c * x for c, x in zip(self.A[j], self.vertices[k]))
+                    raise ValidationError(f"vertex {k}: equality row {j} gives {_shown(lhs)}, "
+                                          f"expected {_shown(self.b[j])}")
+            dup = seen.setdefault(point, k)
+            if dup != k:
+                raise ValidationError(f"vertices {dup} and {k} are identical")
 
     @cached_property
     def A(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -12,10 +12,13 @@ Layout, whitespace-separated with ``#`` comments ignored to end of line::
 
 Rationals are an optionally signed integer, or ``p/q`` with unsigned
 positive ``q``, in ASCII digits; an integer longer than ``int`` converts
-(``sys.get_int_max_str_digits()``) is refused with its line.  Each row is
-read straight into ints and validated on them; ``Fraction`` tuples wait
-until a caller reads them.  Output is deterministic: same section order,
-one row per line, rationals in lowest terms.
+(``sys.get_int_max_str_digits()``) is refused with its line.  A section
+(``A``, ``b``, vertices) is read at a time: one regex and one length test
+check all its tokens, and only a section that fails them is checked token
+by token, in order, to word its first error.  Rows go straight into ints
+and are validated on them; ``Fraction`` tuples wait until a caller reads
+them.  Output is deterministic: same section order, one row per line,
+rationals in lowest terms.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = ["format_polytope", "parse_polytope"]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 _INTEGER = re.compile(r"[+-]?[0-9]+\Z")
+# valid rationals joined by single spaces: no denominator is zero
+_SECTION = re.compile(r"(?:[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?: |\Z))*")
 _Stream = Iterator[tuple[int, str]]  # (line number, token)
 
 
@@ -84,34 +89,54 @@ def _literal(tokens: _Stream, word: str) -> None:
         raise ValidationError(f"line {line}: expected section marker {word!r}, got {tok!r}")
 
 
-def _row(tokens: _Stream, count: int, what: Callable[[int], str]) -> tuple[int, tuple[int, ...]]:
-    """The next ``count`` rationals as ``(scale, ints)``: the lcm of their
-    denominators in lowest terms, and the row times it.  Tokens are checked
-    in order, and the first integer past ``int``'s digit limit (0: none) is
-    refused only after the whole row is checked; ``what(i)`` names entry i
-    in an error message."""
-    items = list(islice(tokens, count))
-    limit, too_long = sys.get_int_max_str_digits(), ""
-    for i, (line, tok) in enumerate(items):
-        if not _RATIONAL.match(tok):
-            raise ValidationError(f"line {line}: malformed rational for {what(i)}: {tok!r}")
-        if "/" in tok and not tok.partition("/")[2].strip("0"):
-            raise ValidationError(f"line {line}: zero denominator for {what(i)}: {tok!r}")
-        if (limit and len(tok) > limit and not too_long
-                and max(len(part.lstrip("+-")) for part in tok.split("/")) > limit):
-            too_long = f"line {line}: {what(i)} has more than {limit} digits"
-    if len(items) < count:
-        raise _Misaligned(f"unexpected end of input: expected {what(len(items))}")
-    if too_long:
-        raise ValidationError(too_long)
-    toks = [tok for _, tok in items]
-    if "/" not in "".join(toks):
-        return 1, tuple(map(int, toks))
+def _refuse(items: list[tuple[int, str]], rows: int, width: int,
+            what: Callable[[int, int], str]) -> None:
+    """Raises the first error in a section's tokens, a row at a time: in a row,
+    its first malformed entry or zero denominator, then its running short, then
+    its first integer past ``int``'s digit limit (0: none).  Returns if none."""
+    limit = sys.get_int_max_str_digits()
+    for k in range(rows):
+        row, too_long = items[k * width:(k + 1) * width], ""
+        for i, (line, tok) in enumerate(row):
+            if not _RATIONAL.match(tok):
+                raise ValidationError(f"line {line}: malformed rational for {what(k, i)}: {tok!r}")
+            if "/" in tok and not tok.partition("/")[2].strip("0"):
+                raise ValidationError(f"line {line}: zero denominator for {what(k, i)}: {tok!r}")
+            if (limit and len(tok) > limit and not too_long
+                    and max(len(part.lstrip("+-")) for part in tok.split("/")) > limit):
+                too_long = f"line {line}: {what(k, i)} has more than {limit} digits"
+        if len(row) < width:
+            raise _Misaligned(f"unexpected end of input: expected {what(k, len(row))}")
+        if too_long:
+            raise ValidationError(too_long)
+
+
+def _lowest(toks: list[str]) -> tuple[int, tuple[int, ...]]:
+    """Checked rationals as ``(scale, ints)`` in lowest terms."""
     ratios = [(int(num), int(den or 1)) for num, _, den in (tok.partition("/") for tok in toks)]
     scale = lcm(*(q for _, q in ratios))
     ints = [p * (scale // q) for p, q in ratios]
     g = gcd(scale, *ints)  # 1 when scale is the lcm of the denominators in lowest terms
     return scale // g, tuple(x // g for x in ints)
+
+
+def _section(tokens: _Stream, rows: int, width: int,
+             what: Callable[[int, int], str]) -> list[tuple[int, tuple[int, ...]]]:
+    """The next ``rows`` rows of ``width`` rationals, each as ``(scale, ints)``:
+    the lcm of its denominators in lowest terms, and the row times it.  One
+    regex and one length test check the section; only when one fails, or the
+    input runs short, does ``_refuse`` check it token by token.  ``what(k, i)``
+    names entry i of row k in an error message."""
+    items = list(islice(tokens, min(rows * width, sys.maxsize)))
+    toks = [tok for _, tok in items]
+    joined, limit = " ".join(toks), sys.get_int_max_str_digits()
+    if (len(items) < rows * width or not _SECTION.fullmatch(joined)
+            or limit and max(map(len, toks), default=0) > limit):
+        _refuse(items, rows, width, what)
+    if "/" not in joined:
+        ints = list(map(int, toks))
+        return [(1, tuple(ints[k * width:(k + 1) * width])) for k in range(rows)]
+    return [_lowest(toks[k * width:(k + 1) * width]) for k in range(rows)]
 
 
 def parse_polytope(text: str) -> Polytope:
@@ -129,12 +154,11 @@ def parse_polytope(text: str) -> Polytope:
 
     try:
         _literal(tokens, "A")
-        A = [_row(tokens, n, lambda i: f"A row {j} entry {i}") for j in range(m)]
+        A = _section(tokens, m, n, lambda j, i: f"A row {j} entry {i}")
         _literal(tokens, "b")
-        b = _row(tokens, m, lambda j: f"b entry {j}")
+        (b,) = _section(tokens, 1, m, lambda _, j: f"b entry {j}")
         _literal(tokens, "vertices")
-        points = [_row(tokens, n, lambda i: f"vertex {k} coordinate {i + 1}")
-                  for k in range(v_count)]
+        points = _section(tokens, v_count, n, lambda k, i: f"vertex {k} coordinate {i + 1}")
         extra = next(tokens, None)
         if extra is not None:
             raise _Misaligned(f"line {extra[0]}: trailing input starting at {extra[1]!r}")

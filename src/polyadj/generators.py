@@ -19,7 +19,8 @@ from itertools import product
 from math import gcd, lcm
 
 from .core import (
-    Polytope, ValidationError, _bareiss, _integral, _sparse_row, as_fraction, detect_facets, rank,
+    Polytope, ValidationError, _bareiss, _integral, _shown, _sparse_row,
+    as_fraction, detect_facets, rank,
 )
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
@@ -108,7 +109,7 @@ def slack_embed(h: HPolytope) -> Polytope:
             s = g * D - sum(ci * xs[i] for i, ci in terms)
             if s < 0:
                 raise ValidationError(
-                    f"vertex {k} violates inequality {j} by {Fraction(-s, scale * D)}")
+                    f"vertex {k} violates inequality {j} by {_shown(Fraction(-s, scale * D))}")
             row.append(s * (S // scale) * (L // D))
         slacks.append(tuple(row))
     if len(set(points)) != len(points):  # equal vertices have equal reduced scalings

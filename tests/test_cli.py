@@ -362,9 +362,14 @@ def test_exit_4_on_invariant_violation(capsys, tmp_path):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+# a file whose refusal would print a 6000-digit equality value, past what
+# str(int) converts, and the same with a fraction of it
+_LONG_EQUALITY = "1 1 1\nA\n{0}\nb\n1\nvertices\n{0}\n".format("7" * 3000)
+_LONG_FRACTION = _LONG_EQUALITY[:-1] + "/2\n"
 # every generator's file, as token lists with each line break a token of its own
 _GEN_TOKENS = [format_polytope(build(3) if takes_dim else build()).replace("\n", " \n ").split(" ")
                for build, takes_dim in generators._GENERATORS.values()]
+_GEN_TOKENS += [text.replace("\n", " \n ").split(" ") for text in (_LONG_EQUALITY, _LONG_FRACTION)]
 _HOSTILE = ["0", "-1", "2", "9", "1/2", "1/0", "-0/3", "\u0661", "x", "#", "A", "b",
             "vertices", "\n", "7" * (sys.get_int_max_str_digits() + 1)]
 _EDITS = st.tuples(st.sampled_from(["swap", "delete", "insert"]), st.integers(0, 999),
@@ -403,6 +408,14 @@ def test_hostile_files_end_in_one_line(tokens, edits, command, u, v):
         sys.stdin = stdin
     assert code in (0, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+def test_over_long_refusal_values_print_as_digit_counts(capsys, monkeypatch):
+    for text, value in ((_LONG_EQUALITY, "<6000 digits>"),
+                        (_LONG_FRACTION, "<6000 digits>/2")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "info") == (
+            2, "", f"error: vertex 0: equality row 0 gives {value}, expected 1\n")
 
 
 def test_usage_errors_from_argparse(capsys):

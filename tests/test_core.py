@@ -1,6 +1,7 @@
 """Zero sets, rank, faces, facets, complementarity."""
 
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from polyadj.core import (
     Polytope,
     ValidationError,
     ZeroSet,
+    _shown,
     as_fraction,
     detect_facets,
     face_dimension,
@@ -237,6 +239,36 @@ def test_validation_sees_a_tiny_offset():
         "vertex 1: equality row 0 gives "
         "1000000000000000000000000000001/1000000000000000000000000000000, expected 1"
     )
+
+
+def test_refusals_give_an_over_long_int_as_its_digit_count():
+    # str() refuses an int past sys.get_int_max_str_digits(): a refusal gives
+    # its digit count instead, and a value that fits as before
+    limit = sys.get_int_max_str_digits()
+    long = int("7" * 3000)
+    assert 10**5999 <= long * long < 10**6000
+    big = 10**5000  # 5001 digits; big - 1 has 5000
+    cases = (
+        (([[long]], [1], [(long,)]), "vertex 0: equality row 0 gives <6000 digits>, expected 1"),
+        (([[1]], [Fraction(1, big)], [(Fraction(1, big - 1),)]),
+         "vertex 0: equality row 0 gives 1/<5000 digits>, expected 1/<5001 digits>"),
+        (([[1]], [0], [(Fraction(-1, big - 1),)]),
+         "vertex 0: coordinate 1 is negative (-1/<5000 digits>)"),
+        (([[1]], [0], [(-(10**limit),)]),
+         f"vertex 0: coordinate 1 is negative (-<{limit + 1} digits>)"),
+        (([[1]], [0], [(-(10**limit - 1),)]),
+         f"vertex 0: coordinate 1 is negative ({-(10**limit - 1)})"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValidationError) as info:
+            Polytope(*args)
+        assert str(info.value) == message
+    # the digit count is exact on both sides of every power of ten past the limit
+    for k in range(limit + 1, limit + 64):
+        for x, digits in ((10**k - 1, k), (10**k, k + 1), (-(10**k), k + 1)):
+            assert _shown(Fraction(x)) == ("-" if x < 0 else "") + f"<{digits} digits>", k
+        assert _shown(Fraction(1, 10**k)) == f"1/<{k + 1} digits>"
+    assert _shown(Fraction(-(10**limit - 1), 2)) == f"{-(10**limit - 1)}/2"
 
 
 # -- zero sets, dimension ---------------------------------------------------

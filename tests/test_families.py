@@ -20,11 +20,14 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
+from polyadj import fileio
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
-from polyadj.core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
+from polyadj.core import (
+    Polytope, UnsupportedPolytopeError, ValidationError, detect_facets, is_simple,
+)
 from polyadj.fileio import format_polytope, parse_polytope
 from polyadj.generators import (
-    HPolytope, bipyramid3, cube, prism3, slack_embed, truncated_cube,
+    _GENERATORS, HPolytope, bipyramid3, cube, prism3, slack_embed, truncated_cube,
 )
 from polyadj.pairgraph import (
     PairKind,
@@ -323,6 +326,34 @@ def test_trusted_embedding_passes_the_validating_path():
         q = slack_embed(h)
         r = Polytope(q.A, q.b, q.vertices)
         assert (r.A, r.b, r.vertices, r._zero_bits) == (q.A, q.b, q.vertices, q._zero_bits)
+
+
+def test_valid_input_runs_no_refusal_loop(monkeypatch):
+    # sections and vertices are checked in bulk; the token-by-token and
+    # vertex-by-vertex loops run only to word a refusal
+    texts = [format_polytope(build(*dims)) for build, takes_dim in _GENERATORS.values()
+             for dims in ([(d,) for d in range(1, 5)] if takes_dim else [()])]
+    texts += [inst.text for inst in _workload_instances()]  # cube(7), C_6(12)*, cross(5), ...
+    bad_token = texts[0].replace("vertices\n0", "vertices\nx", 1)
+    bad_vertex = texts[0].replace("vertices\n0", "vertices\n2", 1)
+
+    def loud(*args):
+        raise AssertionError("a refusal loop ran")
+
+    monkeypatch.setattr(fileio, "_refuse", loud)
+    monkeypatch.setattr(Polytope, "_refuse", loud)
+    for text in texts:
+        p = parse_polytope(text)
+        Polytope(p.A, p.b, p.vertices)
+    for text in (bad_token, bad_vertex):
+        with pytest.raises(AssertionError, match="a refusal loop ran"):
+            parse_polytope(text)
+    monkeypatch.undo()
+    for text, message in ((bad_token, "line 7: malformed rational for vertex 0 coordinate 1: 'x'"),
+                          (bad_vertex, "vertex 0: equality row 0 gives 3, expected 1")):
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == message
 
 
 def test_format_prints_workload_files_as_written():

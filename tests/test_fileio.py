@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,46 @@ def test_parse_names_the_line_of_an_over_long_entry():
     with pytest.raises(ValidationError) as err:
         parse_polytope(CUBE2_FILE.replace("0 1 1 0", f"0 {long} 1 x"))
     assert str(err.value) == "line 9: malformed rational for vertex 1 coordinate 4: 'x'"
+
+
+def test_parse_keeps_the_refusal_order_across_rows():
+    # a section is checked at once, but refused as a row at a time would be
+    limit = sys.get_int_max_str_digits()
+    long = "7" * 5000
+    for text, message in (
+        # a short last row is refused as short, before its over-long entry
+        (f"4 2 4\nA\n1 0 1 0\n0 {long}",
+         "unexpected end of input: expected A row 1 entry 2; "
+         "line 4 holds 2 entries for A row 1, expected 4"),
+        # a malformed entry in one row beats a zero denominator or an
+        # over-long entry in the next row of its section
+        (CUBE2_FILE.replace("0 0 1 1", "0 0 x 1").replace("0 1 1 0", "0 1/0 1 0"),
+         "line 8: malformed rational for vertex 0 coordinate 3: 'x'"),
+        (CUBE2_FILE.replace("0 0 1 1", "0 0 x 1").replace("0 1 1 0", f"0 {long} 1 0"),
+         "line 8: malformed rational for vertex 0 coordinate 3: 'x'"),
+        # an over-long entry in one row beats a malformed entry in the next
+        (CUBE2_FILE.replace("1 0 1 0", f"1 0 {long} 0").replace("0 1 0 1", "0 x 0 1"),
+         f"line 3: A row 0 entry 2 has more than {limit} digits"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == message
+
+
+def test_parse_refuses_a_count_past_sys_maxsize_with_its_line():
+    count = 10**20
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(f"{count} 2 4\nA\n1 0 1 0\n")
+    assert str(err.value) == ("unexpected end of input: expected A row 0 entry 4; "
+                              f"line 3 holds 4 entries for A row 0, expected {count}")
+
+
+def test_parse_gives_an_over_long_equality_as_its_digit_count():
+    # entries of 3000 digits fit; row times vertex has 6000, past str(int)
+    long = "7" * 3000
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(f"1 1 1\nA\n{long}\nb\n1\nvertices\n{long}\n")
+    assert str(err.value) == "vertex 0: equality row 0 gives <6000 digits>, expected 1"
 
 
 def test_parse_reads_any_length_when_int_has_no_digit_limit():
@@ -264,3 +305,25 @@ def test_format_reduces_signed_unreduced_entries(rows_vertex, unreduce):
                       "vertices", " ".join(vertex)]) + "\n"
     p = parse_polytope(text)
     assert _format_from_ints(p) == orc.fraction_text(p)
+
+
+# an all-integer row, or a row with at least one p/q entry
+_INT_ROW = st.builds(_token, st.sampled_from(["", "+"]), st.integers(0, 30), st.just(0))
+_ANY_ENTRY = st.builds(_token, st.sampled_from(["", "+"]), st.integers(0, 30), st.integers(0, 12))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(_INT_ROW, min_size=n, max_size=n),
+              st.lists(_ANY_ENTRY, min_size=n, max_size=n).filter(
+                  lambda row: any("/" in tok for tok in row))),
+    min_size=1, max_size=6, unique_by=lambda row: tuple(map(Fraction, row)))))
+def test_parse_reads_mixed_sections_as_fraction_does(rows):
+    # m = 0: any distinct nonnegative points are the vertices of a polytope
+    text = "\n".join([f"{len(rows[0])} 0 {len(rows)}", "A", "b", "vertices",
+                      *map(" ".join, rows)]) + "\n"
+    p = parse_polytope(text)
+    want = tuple(tuple(map(Fraction, row)) for row in rows)
+    assert p.vertices == want
+    scales = [lcm(*(x.denominator for x in v)) for v in want]
+    assert p._points == tuple((s, tuple(int(x * s) for x in v)) for s, v in zip(scales, want))
+    assert format_polytope(parse_polytope(format_polytope(p))) == format_polytope(p)

@@ -300,6 +300,14 @@ def test_embed_names_a_fractional_violation_exactly():
         assert str(err.value) == message
 
 
+def test_embed_gives_an_over_long_violation_as_its_digit_count():
+    # the excess long * long - 1 has 6000 digits, past what str(int) converts
+    long = int("7" * 3000)
+    with pytest.raises(ValidationError) as err:
+        slack_embed(HPolytope(((long,), (-1,)), (1, 0), ((long,), (0,))))
+    assert str(err.value) == "vertex 0 violates inequality 0 by <6000 digits>"
+
+
 def test_embed_finds_duplicates_spelt_differently():
     triangle = dict(normals=((-1, 0), (0, -1), (1, 1)), offsets=(0, 0, 1))
     for vertices in (((0, 0), (1, 0), (0, 1), (Fraction(1, 2), 0), ("2/4", 0)),
