@@ -223,10 +223,33 @@ def _check_pair(count: int, u: int, v: int, same: str) -> None:
         raise ValueError(same)
 
 
+def _shaped(vertices, rows, rhs, kind: str, rhs_name: str) -> tuple[tuple, tuple, tuple]:
+    """The three as ``Fraction`` tuples; refuses no vertex, no coordinate, then a vertex, a
+    row or ``rhs`` of the wrong length, calling the rows ``kind`` and ``rhs`` ``rhs_name``."""
+    verts = tuple(tuple(as_fraction(x) for x in v) for v in vertices)
+    if not verts:
+        raise ValidationError("at least one vertex is required")
+    n = len(verts[0])
+    if n == 0:
+        raise ValidationError("vertices must have at least one coordinate")
+    for k, v in enumerate(verts):
+        if len(v) != n:
+            raise ValidationError(f"vertex {k}: expected {n} coordinates, got {len(v)}")
+    rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+    for j, row in enumerate(rows):
+        if len(row) != n:
+            raise ValidationError(f"{kind} row {j}: expected {n} entries, got {len(row)}")
+    rhs = tuple(as_fraction(x) for x in rhs)
+    if len(rhs) != len(rows):
+        raise ValidationError(f"{rhs_name} has {len(rhs)} entries for {len(rows)} {kind} rows")
+    return verts, rows, rhs
+
+
 class Polytope:
     """Bounded polytope ``{x : Ax = b, x >= 0}`` with its complete vertex list.
 
-    Construction validates every vertex exactly (equalities hold, coordinates
+    Construction checks shapes as ``HPolytope`` does (rows "equality", right-hand
+    side "b"), then validates every vertex exactly (equalities hold, coordinates
     nonnegative, vertices pairwise distinct) and computes per-vertex zero sets.
     The checks run on all vertices at once, a coordinate column at a time;
     only when one fails does a loop over the vertices word the first refusal.
@@ -244,22 +267,7 @@ class Polytope:
         b: Iterable[Fraction | int | str],
         vertices: Iterable[Iterable[Fraction | int | str]],
     ) -> None:
-        verts = tuple(tuple(as_fraction(x) for x in v) for v in vertices)
-        if not verts:
-            raise ValidationError("at least one vertex is required")
-        n = len(verts[0])
-        if n == 0:
-            raise ValidationError("vertices must have at least one coordinate")
-        for k, v in enumerate(verts):
-            if len(v) != n:
-                raise ValidationError(f"vertex {k}: expected {n} coordinates, got {len(v)}")
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in A)
-        for j, row in enumerate(rows):
-            if len(row) != n:
-                raise ValidationError(f"equality row {j}: expected {n} entries, got {len(row)}")
-        rhs = tuple(as_fraction(x) for x in b)
-        if len(rhs) != len(rows):
-            raise ValidationError(f"b has {len(rhs)} entries for {len(rows)} equality rows")
+        verts, rows, rhs = _shaped(vertices, A, b, "equality", "b")
         vars(self).update(A=rows, b=rhs, vertices=verts)  # seed the caches
         self._adopt(map(_integral, rows), _integral(rhs), map(_integral, verts))
 

@@ -19,8 +19,8 @@ from itertools import product
 from math import gcd, lcm
 
 from .core import (
-    Polytope, ValidationError, _bareiss, _integral, _shown, _sparse_row,
-    as_fraction, detect_facets, rank,
+    Polytope, ValidationError, _bareiss, _integral, _shaped, _shown, _sparse_row,
+    detect_facets, rank,
 )
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
@@ -29,32 +29,18 @@ __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed"
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Facet inequalities ``normals[j] . x <= offsets[j]`` plus vertex list."""
+    """Facet inequalities ``normals[j] . x <= offsets[j]`` plus vertex list,
+    shape-checked as ``Polytope``'s are (rows "inequality", right-hand side "offsets")."""
 
     normals: tuple[tuple[Fraction, ...], ...]
     offsets: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        normals = tuple(tuple(as_fraction(x) for x in row) for row in self.normals)
-        offsets = tuple(as_fraction(x) for x in self.offsets)
-        vertices = tuple(tuple(as_fraction(x) for x in v) for v in self.vertices)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "vertices", vertices)
-        if not vertices:
-            raise ValidationError("at least one vertex is required")
-        d = len(vertices[0])
-        if d == 0:
-            raise ValidationError("vertices must have at least one coordinate")
-        if any(len(v) != d for v in vertices):
-            raise ValidationError("ragged vertex list")
-        if any(len(row) != d for row in normals):
-            raise ValidationError("inequality rows must match vertex dimension")
-        if len(offsets) != len(normals):
-            raise ValidationError(
-                f"{len(offsets)} offsets for {len(normals)} inequality rows"
-            )
+        vs, rows, rhs = _shaped(self.vertices, self.normals, self.offsets, "inequality", "offsets")
+        object.__setattr__(self, "normals", rows)
+        object.__setattr__(self, "offsets", rhs)
+        object.__setattr__(self, "vertices", vs)
 
     @property
     def dim(self) -> int:

@@ -90,6 +90,12 @@ def _require_walkable(p: Polytope, facets: Facets) -> int:
     return d
 
 
+def _check_neighbors(count: int, neighbors: list[list[int]]) -> None:
+    """Refuse ``neighbors`` unless it holds one list for each of ``count`` vertices."""
+    if len(neighbors) != count:
+        raise ValueError(f"neighbors holds {len(neighbors)} lists for {count} vertices")
+
+
 def arcs_from(
     p: Polytope, facets: Facets, neighbors: list[list[int]], node: PairNode
 ) -> list[PairArc]:
@@ -99,12 +105,14 @@ def arcs_from(
     A complementary node has 2d arcs with pairwise different facet sets; a
     one-common-facet node has exactly 2 arcs with the same facet set.  Facet
     sets have 2d - 1 elements.  Refuses a polytope that is not simple with
-    dim P > 1, and an index outside 0..V - 1 before its mask is read.
+    dim P > 1, ``neighbors`` without one list per vertex, and an index
+    outside 0..V - 1 before its mask is read.
     """
     _require_walkable(p, facets)
+    masks, count = facets.masks, p.vertex_count
+    _check_neighbors(count, neighbors)
     if node.kind is PairKind.EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
-    masks, count = facets.masks, p.vertex_count
     if not (0 <= node.u < count and 0 <= node.v < count):  # a bare PairNode is unchecked
         _check_index(count, node.u, node.v)
     arcs = []
@@ -166,8 +174,13 @@ def _walk_forward(
     return cur
 
 
-def _complementary_start(p: Polytope, facets: Facets, start: tuple[int, int]) -> PairNode:
-    """Node of the sorted walk start; refused unless complementary."""
+def _complementary_start(
+    p: Polytope, facets: Facets, neighbors: list[list[int]], start: tuple[int, int]
+) -> PairNode:
+    """Node of the sorted walk start; refused unless P is walkable, then unless
+    ``neighbors`` holds one list per vertex, then unless complementary."""
+    _require_walkable(p, facets)
+    _check_neighbors(p.vertex_count, neighbors)
     u, v = sorted(start)
     node = pair_node(p, facets, u, v)
     if node.kind is not PairKind.COMPLEMENTARY:
@@ -183,8 +196,9 @@ def second_pair(
     Deterministic first move: replace the lower-indexed vertex of ``start``
     by its lowest-indexed neighbor, then follow the two-arc rule forward.
     """
-    _require_walkable(p, facets)
-    start_node = _complementary_start(p, facets, start)
+    start_node = _complementary_start(p, facets, neighbors, start)
+    if not neighbors[start_node.u]:
+        raise ValueError(f"vertex {start_node.u} has no neighbors")
     first = pair_node(p, facets, min(neighbors[start_node.u]), start_node.v)
     found = _walk_forward(p, facets, neighbors, start_node, first)
     if found.pair == start_node.pair:
@@ -202,8 +216,7 @@ def disjoint_pairs(
     and run the forced walk from that edge; the pair it reaches cannot touch
     {z_i, v}.
     """
-    _require_walkable(p, facets)
-    u, v = _complementary_start(p, facets, start).pair
+    u, v = _complementary_start(p, facets, neighbors, start).pair
     path = _shortest_path(neighbors, u, v)
     shared = [facets.masks[z] & facets.masks[v] for z in path]
     pivot = next((i for i in range(len(path) - 1) if not shared[i] and shared[i + 1]), None)
@@ -223,25 +236,38 @@ def disjoint_pairs(
 def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list[int]:
     """Breadth-first shortest path, deterministic by ascending neighbor order:
     layer by layer, each predecessor kept in a flat list from the vertex's
-    first discovery on, stopping once ``target`` is discovered; O(V + E)."""
-    pred = [-1] * len(neighbors)
+    first discovery on, stopping once ``target`` is discovered; O(V + E).
+    Refuses the first entry outside 0..V - 1 when the walk meets a bad one."""
+    count = len(neighbors)
+    # pred[x] for an entry x in -V..-1 or V..2V-1 is None, which fails ``< 0``,
+    # and one past -2V or 2V fails to index.  One in -2V..-V-1 reads a real
+    # slot and fails to index ``neighbors`` once expanded; left unexpanded, it
+    # changes the path only by standing in for the target, found by its last hop
+    pred = [-1] * count + [None] * count
     pred[source] = source
     layer = [source]
-    while layer and pred[target] < 0:
-        discovered = []
-        for w in layer:
-            for x in neighbors[w]:
-                if pred[x] < 0:
-                    pred[x] = w
-                    discovered.append(x)
-            if pred[target] >= 0:
-                break
-        layer = discovered
-    if pred[target] < 0:
-        raise RuntimeError(f"polytope graph is disconnected between {source} and {target}")
-    path = [target]
-    while path[-1] != source:
-        path.append(pred[path[-1]])
+    try:
+        while layer and pred[target] < 0:
+            discovered = []
+            for w in layer:
+                for x in neighbors[w]:
+                    if pred[x] < 0:
+                        pred[x] = w
+                        discovered.append(x)
+                if pred[target] >= 0:
+                    break
+            layer = discovered
+        if pred[target] < 0:
+            raise RuntimeError(f"polytope graph is disconnected between {source} and {target}")
+        path = [target]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        if len(path) > 1 and target not in neighbors[path[1]]:
+            raise IndexError(f"{target} is not a neighbor of {path[1]}")
+    except (IndexError, TypeError):
+        for xs in neighbors:
+            _check_index(count, *xs)
+        raise
     return path[::-1]
 
 

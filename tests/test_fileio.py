@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import oracles as orc
 import polyadj
 from polyadj.core import ValidationError, ZeroSet
-from polyadj.fileio import format_polytope, parse_polytope
+from polyadj.fileio import _SECTION, _refuse, format_polytope, parse_polytope
 from polyadj.generators import _GENERATORS, cube, truncated_cube
 
 CUBE2_FILE = """\
@@ -327,3 +327,24 @@ def test_parse_reads_mixed_sections_as_fraction_does(rows):
     scales = [lcm(*(x.denominator for x in v)) for v in want]
     assert p._points == tuple((s, tuple(int(x * s) for x in v)) for s, v in zip(scales, want))
     assert format_polytope(parse_polytope(format_polytope(p))) == format_polytope(p)
+
+
+# tokens with no whitespace, short of the digit limit: free strings over the
+# alphabet, and signed p/q shapes whose q may be empty, zero or not ASCII
+_SHAPED = st.builds("{}{}{}{}".format, _SIGNS, st.sampled_from(["", "0", "1", "07", "10"]),
+                    st.sampled_from(["", "/"]),
+                    st.sampled_from(["", "0", "00", "1", "07", "10", "x", "\u0661"])).filter(bool)
+_GRAMMAR_TOKENS = st.one_of(_SHAPED, _SHAPED, st.text("0123456789+-/x\u0661", min_size=1,
+                                                       max_size=8))
+
+
+@given(st.lists(_GRAMMAR_TOKENS, max_size=3))
+def test_section_regex_and_token_check_agree(toks):
+    # the one-regex section check and the token-by-token refusal state the
+    # rational grammar twice; on one full row they accept the same tokens
+    try:
+        _refuse([(1, tok) for tok in toks], 1, len(toks), lambda k, i: f"entry {i}")
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert (_SECTION.fullmatch(" ".join(toks)) is not None) == accepted

@@ -265,11 +265,11 @@ def test_embed_rejects_normals_that_do_not_span():
 
 
 def test_hpolytope_shape_validation():
-    with pytest.raises(ValidationError, match="ragged"):
+    with pytest.raises(ValidationError, match="^vertex 1: expected 2 coordinates, got 1$"):
         HPolytope(((-1, 0),), (0,), ((0, 0), (1,)))
-    with pytest.raises(ValidationError, match="match vertex dimension"):
+    with pytest.raises(ValidationError, match="^inequality row 0: expected 2 entries, got 1$"):
         HPolytope(((-1,),), (0,), ((0, 0),))
-    with pytest.raises(ValidationError, match="offsets for"):
+    with pytest.raises(ValidationError, match="^offsets has 2 entries for 1 inequality rows$"):
         HPolytope(((-1, 0),), (0, 1), ((0, 0),))
     with pytest.raises(ValidationError, match="float"):
         HPolytope(((-1.0, 0),), (0,), ((0, 0),))
@@ -280,6 +280,27 @@ def test_hpolytope_refuses_an_empty_vertex_list_or_vertex():
         HPolytope(((-1,),), (0,), ())
     with pytest.raises(ValidationError, match="^vertices must have at least one coordinate$"):
         HPolytope((), (), ((),))
+
+
+def test_polytope_and_hpolytope_refuse_each_shape_fault_alike():
+    # one refusal per fault, in this order, for both forms; only the rows'
+    # kind and the right-hand side's name differ
+    cases = (
+        ((), ((1, 0),), (0,), "at least one vertex is required"),
+        (((),), (), (), "vertices must have at least one coordinate"),
+        (((0, 0), (1,)), ((1, 0),), (0,), "vertex 1: expected 2 coordinates, got 1"),
+        (((0, 0),), ((1, 0), (1,)), (0, 0), "{kind} row 1: expected 2 entries, got 1"),
+        (((0, 0),), ((1, 0),), (0, 1), "{rhs} has 2 entries for 1 {kind} rows"),
+        (((0, 0),), ((1, 0),), (), "{rhs} has 0 entries for 1 {kind} rows"),
+        # a short vertex is named before a short row
+        (((0, 0), (1,)), ((1,),), (0,), "vertex 1: expected 2 coordinates, got 1"),
+    )
+    for vertices, rows, rhs, message in cases:
+        for build, kind, rhs_name in ((Polytope, "equality", "b"),
+                                      (HPolytope, "inequality", "offsets")):
+            with pytest.raises(ValidationError) as err:
+                build(rows, rhs, vertices)
+            assert str(err.value) == message.format(kind=kind, rhs=rhs_name)
 
 
 # -- exact behaviour of the integer slack path --------------------------------

@@ -145,6 +145,16 @@ def test_arcs_from_refuses_out_of_range_neighbors():
             arcs_from(p, facets, neighbors, PairNode(u, v, PairKind.COMPLEMENTARY, None))
 
 
+def test_arcs_from_reports_a_move_that_leaves_the_pair_graph():
+    # 1 listed as a neighbor of 7 moves (0, 7) to (0, 1), which shares two facets
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    neighbors[7].append(1)
+    with pytest.raises(RuntimeError, match=r"^internal invariant violated: "
+                       r"move \(0, 7\) -> \(0, 1\) left the pair graph$"):
+        arcs_from(p, facets, neighbors, pair_node(p, facets, 0, 7))
+
+
 def test_arc_laws_over_fixtures():
     # degree and facet-set laws on every node, including a product polytope
     cases = [cube(3), cube(4), prism3(),
@@ -278,6 +288,48 @@ def test_walk_start_range_error_names_lower_index():
     for walk in (second_pair, disjoint_pairs):
         with pytest.raises(ValueError, match=r"vertex index -2 out of range 0\.\.3"):
             walk(p, facets, neighbors, (-1, -2))
+
+
+def test_walks_refuse_a_neighbor_list_of_the_wrong_length():
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    for broken, count in ((neighbors[:7], 7), (neighbors + [[0]], 9)):
+        message = rf"^neighbors holds {count} lists for 8 vertices$"
+        for walk in (second_pair, disjoint_pairs):
+            with pytest.raises(ValueError, match=message):
+                walk(p, facets, broken, (0, 7))
+        with pytest.raises(ValueError, match=message):
+            arcs_from(p, facets, broken, pair_node(p, facets, 0, 7))
+
+
+def test_second_pair_names_a_start_vertex_with_no_neighbors():
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    neighbors[0] = []
+    with pytest.raises(ValueError, match="^vertex 0 has no neighbors$"):
+        second_pair(p, facets, neighbors, (0, 7))
+
+
+def test_disjoint_pairs_refuses_a_neighbor_past_the_last_vertex():
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    for bad in (8, 15, 16):  # past V, within 2V, past 2V
+        broken = [list(row) for row in neighbors]
+        broken[0].append(bad)
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 0\.\.7$"):
+            disjoint_pairs(p, facets, broken, (0, 7))
+
+
+def test_disjoint_pairs_refuses_a_negative_neighbor():
+    # unchecked, -1 would read vertex 7's slot and -9 would stand in for vertex 7:
+    # both would give the phantom path 0-7
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    for bad in (-1, -9, -17):
+        broken = [list(row) for row in neighbors]
+        broken[0].append(bad)
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 0\.\.7$"):
+            disjoint_pairs(p, facets, broken, (0, 7))
 
 
 def test_walk_stops_at_first_repeated_pair(monkeypatch):
