@@ -119,9 +119,11 @@ def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> l
 
 
 def neighbor_lists(vertex_count: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Sorted adjacency lists from an edge list."""
+    """Sorted adjacency lists from an edge list; refuses an edge with an end
+    outside 0..vertex_count - 1, then one that joins a vertex to itself."""
     out: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edges:
+        _check_pair(vertex_count, u, v, "an edge joins two distinct vertices")
         out[u].append(v)
         out[v].append(u)
     for lst in out:

@@ -148,13 +148,6 @@ def _integral(row: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def _sparse_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[int, list[tuple[int, int]], int]:
-    """``row`` and ``rhs`` scaled to ints together: ``(scale, terms, rhs)``,
-    with ``terms`` the nonzero ``(index, coeff)`` entries of the row."""
-    scale, ints = _integral((*row, rhs))
-    return scale, [(i, c) for i, c in enumerate(ints[:-1]) if c], ints[-1]
-
-
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form. Returns (rows, pivot column indices)."""
     pivots: list[int] = []

@@ -18,10 +18,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .core import (
-    Polytope, ValidationError, _bareiss, _integral, _shaped, _shown, _sparse_row,
-    detect_facets, rank,
-)
+from .core import (Polytope, ValidationError, _bareiss, _integral, _shaped, _shown,
+                   detect_facets, rank)
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
            "truncated_cube"]
@@ -84,7 +82,10 @@ def slack_embed(h: HPolytope) -> Polytope:
     """
     d = h.dim
     # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
-    rows = [_sparse_row(c, g) for c, g in zip(h.normals, h.offsets)]
+    rows = []
+    for c, g in zip(h.normals, h.offsets):  # row and offset on one scale: nonzero terms, g_int
+        scale, ints = _integral((*c, g))
+        rows.append((scale, [(i, ci) for i, ci in enumerate(ints[:-1]) if ci], ints[-1]))
     points = [_integral(x) for x in h.vertices]
     # every slack on one denominator S * L, so int tuples sort as the slack vectors do
     S, L = lcm(*(scale for scale, _, _ in rows)), lcm(*(D for D, _ in points))

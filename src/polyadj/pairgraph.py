@@ -211,19 +211,18 @@ def disjoint_pairs(
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Two complementary pairs with four distinct vertices between them.
 
-    Walk a shortest path z_1 .. z_q from u to v in the polytope graph, find
-    the first index where {z_i, v} is complementary but {z_i+1, v} is not,
-    and run the forced walk from that edge; the pair it reaches cannot touch
-    {z_i, v}.
+    Walk a shortest path z_0 = u .. z_q = v in the polytope graph, find the
+    first z_j sharing a facet with v (j > 0, as u shares none), and run the
+    forced walk from {z_j-1, v} to {z_j, v}; the pair it reaches cannot
+    touch {z_j-1, v}.
     """
     u, v = _complementary_start(p, facets, neighbors, start).pair
     path = _shortest_path(neighbors, u, v)
-    shared = [facets.masks[z] & facets.masks[v] for z in path]
-    pivot = next((i for i in range(len(path) - 1) if not shared[i] and shared[i + 1]), None)
-    if pivot is None:
+    j = next((i for i, z in enumerate(path) if facets.masks[z] & facets.masks[v]), 0)
+    if not j:
         raise RuntimeError("no pivot on a path between complementary partners")
-    anchor = pair_node(p, facets, path[pivot], v)
-    step_off = pair_node(p, facets, path[pivot + 1], v)
+    anchor = pair_node(p, facets, path[j - 1], v)
+    step_off = pair_node(p, facets, path[j], v)
     found = _walk_forward(p, facets, neighbors, anchor, step_off)
     if len({*anchor.pair, *found.pair}) != 4:
         raise RuntimeError(
@@ -237,7 +236,9 @@ def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list
     """Breadth-first shortest path, deterministic by ascending neighbor order:
     layer by layer, each predecessor kept in a flat list from the vertex's
     first discovery on, stopping once ``target`` is discovered; O(V + E).
-    Refuses the first entry outside 0..V - 1 when the walk meets a bad one."""
+    Refuses the first entry outside 0..V - 1 when the walk meets a bad one,
+    save one in -2V..-V-1 whose slot is an already discovered vertex: that
+    entry is skipped, not refused, as refusing it needs a compare per entry."""
     count = len(neighbors)
     # pred[x] for an entry x in -V..-1 or V..2V-1 is None, which fails ``< 0``,
     # and one past -2V or 2V fails to index.  One in -2V..-V-1 reads a real

@@ -152,6 +152,16 @@ def test_neighbor_lists():
     assert all(len(lst) == 3 for lst in nb)
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((0, -1), r"vertex index -1 out of range 0\.\.2"),  # unchecked: 0 joined vertex 2's list
+    ((0, 3), r"vertex index 3 out of range 0\.\.2"),
+    ((1, 1), "an edge joins two distinct vertices"),
+], ids=["negative", "past-last", "loop"])
+def test_neighbor_lists_refuses_a_bad_edge(edge, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        neighbor_lists(3, [edge])
+
+
 def test_unique_pairs_are_the_cube3_edges():
     assert build_join_map(cube(3)).unique_pairs() == CUBE3_EDGES
 

@@ -332,6 +332,16 @@ def test_disjoint_pairs_refuses_a_negative_neighbor():
             disjoint_pairs(p, facets, broken, (0, 7))
 
 
+def test_disjoint_pairs_lets_a_non_int_neighbor_raise_its_type_error():
+    # 1.5 lies inside 0..V - 1, so the index scan after the BFS's failure
+    # finds nothing to refuse and re-raises the list's own TypeError
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    neighbors[0].append(1.5)
+    with pytest.raises(TypeError, match="list indices must be integers"):
+        disjoint_pairs(p, facets, neighbors, (0, 7))
+
+
 def test_walk_stops_at_first_repeated_pair(monkeypatch):
     # a broken pair graph whose forced walk cycles a -> b -> c -> a: the walk
     # raises when it reaches a again instead of running on
