@@ -120,12 +120,16 @@ def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> l
 
 def neighbor_lists(vertex_count: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     """Sorted adjacency lists from an edge list; refuses an edge with an end
-    outside 0..vertex_count - 1, then one that joins a vertex to itself."""
+    outside 0..vertex_count - 1, then one that joins a vertex to itself, then,
+    once sorted, an edge listed twice in either direction (the lowest such)."""
     out: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edges:
         _check_pair(vertex_count, u, v, "an edge joins two distinct vertices")
         out[u].append(v)
         out[v].append(u)
-    for lst in out:
+    for u, lst in enumerate(out):
         lst.sort()
+        if len(set(lst)) < len(lst):  # a repeat: named by its first two equal neighbours
+            v = next(v for v, w in zip(lst, lst[1:]) if v == w)
+            raise ValueError(f"edge ({u}, {v}) is listed twice")
     return out

@@ -76,12 +76,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    """The bit table ``rows`` by columns: bit r of entry c is bit c of ``rows[r]``."""
-    cols = [0] * width
-    for r, row in enumerate(rows):
-        for c in _bits(row):
-            cols[c] |= 1 << r
-    return tuple(cols)
+    """The bit table ``rows`` by columns: bit r of entry c is bit c of ``rows[r]``; every
+    row must be ``< 2**width``.  Spelt last row first as one string of ``width`` binary
+    digits a row, column c is its every ``width``-th digit from ``width - 1 - c``."""
+    table = "".join(map(format, reversed(rows), [f"0{width}b"] * len(rows)))
+    return tuple(int(table[c::width], 2) for c in reversed(range(width))) if rows else (0,) * width
 
 
 @dataclass(frozen=True)

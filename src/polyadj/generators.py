@@ -3,9 +3,9 @@
 An :class:`HPolytope` is a bounded polytope given by facet inequalities
 ``c . x <= gamma`` together with its vertex list.  ``slack_embed`` rewrites
 it as ``{y : Ay = b, y >= 0}`` with one coordinate per inequality: the j-th
-coordinate of the image of x is the slack ``gamma_j - c_j . x``.  Faces then
-correspond to coordinate zero sets, which is the representation the rest of
-the package works on.
+coordinate of the image of x is the slack ``gamma_j - c_j . x``, computed an
+inequality at a time for every vertex.  Faces then correspond to coordinate
+zero sets, which is the representation the rest of the package works on.
 
 Generator coordinates are chosen rational and documented; vertices of every
 generated polytope are sorted lexicographically so outputs are stable.
@@ -78,27 +78,29 @@ def slack_embed(h: HPolytope) -> Polytope:
     Errors name vertices by their index in ``h``.  Correctness of the vertex
     list itself is presumed, as everywhere in this package.  Valid input costs
     no ``Fraction`` arithmetic: slacks, ``b``, the duplicate check and the
-    basis of ``A`` are ints, on rows and vertices scaled once.
+    basis of ``A`` are ints, on rows and vertices scaled once; the slacks are
+    computed an inequality at a time, over the vertices' coordinate columns.
     """
     d = h.dim
-    # slack j = s / (scale * D), s = g_int * D - c_int . x_int for x scaled to ints by D
-    rows = []
-    for c, g in zip(h.normals, h.offsets):  # row and offset on one scale: nonzero terms, g_int
-        scale, ints = _integral((*c, g))
-        rows.append((scale, [(i, ci) for i, ci in enumerate(ints[:-1]) if ci], ints[-1]))
+    rows = [_integral((*c, g)) for c, g in zip(h.normals, h.offsets)]  # row and offset, one scale
     points = [_integral(x) for x in h.vertices]
-    # every slack on one denominator S * L, so int tuples sort as the slack vectors do
-    S, L = lcm(*(scale for scale, _, _ in rows)), lcm(*(D for D, _ in points))
-    slacks = []
-    for k, (D, xs) in enumerate(points):
-        row = []
-        for j, (scale, terms, g) in enumerate(rows):
-            s = g * D - sum(ci * xs[i] for i, ci in terms)
-            if s < 0:
-                raise ValidationError(
-                    f"vertex {k} violates inequality {j} by {_shown(Fraction(-s, scale * D))}")
-            row.append(s * (S // scale) * (L // D))
-        slacks.append(tuple(row))
+    Ds, cols = [D for D, _ in points], list(zip(*(xs for _, xs in points)))  # cols by coordinate
+    # every slack on one denominator S * L, so int tuples sort as the slack vectors do; with row j
+    # and its offset times S // scale, slack j of x_int / D is (g D - c . x_int) / (S D)
+    S, L = lcm(*(scale for scale, _ in rows)), lcm(*Ds)
+    gs, lists = [], []  # offsets times S; per inequality, the slacks of every vertex times S D
+    for scale, (*c, g) in rows:
+        gs.append(g * (S // scale))
+        s = [gs[-1] * D for D in Ds]
+        for i, ci in ((i, ci * (S // scale)) for i, ci in enumerate(c) if ci):
+            s = [a - ci * x for a, x in zip(s, cols[i])]
+        lists.append(s)
+    if min(map(min, lists), default=0) < 0:  # name the first (vertex, inequality) at fault
+        k, j = min((k, j) for j, s in enumerate(lists) for k, x in enumerate(s) if x < 0)
+        raise ValidationError(
+            f"vertex {k} violates inequality {j} by {_shown(Fraction(-lists[j][k], S * Ds[k]))}")
+    ms = [L // D for D in Ds]  # each vertex's slacks times L // D: one tuple per vertex
+    slacks = list(zip(*([a * m for a, m in zip(s, ms)] for s in lists))) or [()] * len(points)
     if len(set(points)) != len(points):  # equal vertices have equal reduced scalings
         raise ValidationError("duplicate vertices")
 
@@ -106,7 +108,6 @@ def slack_embed(h: HPolytope) -> Polytope:
     spans = len(h.normals) - len(A) == d  # the normals' rank: one basis vector per free column
     if spans:  # trusted: A y = A offsets = b as A N = 0, no slack is negative,
         # and distinct vertices have distinct slacks once the normals span
-        gs = [g * (S // scale) for scale, _, g in rows]  # offsets times S
         b = [sum(a * g for a, g in zip(row, gs)) for row in A]  # b = A offsets on scale S
         common = gcd(S, *b)  # S // common: the least scale that makes b integral
         order = sorted(range(len(slacks)), key=slacks.__getitem__)  # image vertex -> index in h

@@ -162,6 +162,16 @@ def test_neighbor_lists_refuses_a_bad_edge(edge, message):
         neighbor_lists(3, [edge])
 
 
+def test_neighbor_lists_refuses_a_repeated_edge():
+    # unrefused, a walk sees the repeated move twice and blames itself (3 arcs)
+    for u, v in CUBE3_EDGES:
+        for again in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match=fr"^edge \({u}, {v}\) is listed twice$"):
+                neighbor_lists(8, CUBE3_EDGES + [again])
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) is listed twice$"):  # the lowest
+        neighbor_lists(3, [(2, 1), (2, 0), (1, 2), (0, 2)])
+
+
 def test_unique_pairs_are_the_cube3_edges():
     assert build_join_map(cube(3)).unique_pairs() == CUBE3_EDGES
 

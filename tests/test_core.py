@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles as orc
 from polyadj.adjacency import combinatorial_test, precompute
@@ -17,6 +17,7 @@ from polyadj.core import (
     ValidationError,
     ZeroSet,
     _shown,
+    _transpose,
     as_fraction,
     detect_facets,
     face_dimension,
@@ -433,6 +434,41 @@ def test_cube3_facets():
 @given(st.integers(0, 2 ** 70))
 def test_facet_ids_are_the_set_bits(mask):
     assert Facets.ids(mask) == frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
+
+
+@st.composite
+def _bit_tables(draw):
+    """Up to 70 rows of up to 70 bits, with all-zero rows and all-zero columns."""
+    width = draw(st.integers(0, 70))
+    dead = draw(st.integers(0, 2 ** width - 1))  # columns cleared in every row
+    rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, 2 ** width - 1)), max_size=70))
+    return [row & ~dead for row in rows], width
+
+
+@given(_bit_tables())
+@example(([], 0))
+@example(([], 70))
+@example(([0] * 70, 0))
+@example(([0] * 70, 70))
+@example(([2 ** 70 - 1] * 70, 70))
+def test_transpose_reads_the_bit_table_by_columns(table):
+    rows, width = table
+    cols = _transpose(rows, width)
+    assert len(cols) == width and all(0 <= col < 2 ** len(rows) for col in cols)
+    assert all(cols[c] >> r & 1 == rows[r] >> c & 1 for r in range(len(rows)) for c in range(width))
+    assert _transpose(cols, len(rows)) == tuple(rows)
+
+
+def test_transpose_reads_columns_longer_than_the_int_string_limit():
+    # base 2 is a power of two, so int(..., 2) is exempt from sys.get_int_max_str_digits()
+    rows = [1 << (r % 3) for r in range(1000)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        cols = _transpose(rows, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cols == tuple(sum(1 << r for r in range(c, 1000, 3)) for c in range(3))
 
 
 def test_of_vertex_refuses_out_of_range_index():

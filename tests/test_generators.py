@@ -344,6 +344,34 @@ def test_embed_reports_a_violation_before_a_duplicate():
     assert str(err.value) == "vertex 4 violates inequality 3 by 1/2"
 
 
+def test_embed_names_the_first_vertex_then_the_first_inequality_at_fault():
+    # x <= 1, y <= 5, x + y <= 2, -x <= 0: (3, 0) breaks rows 0 and 2, (0, 7) rows 1 and 2,
+    # (1, 3/2) only row 2; vertices are searched in order, each one's rows in order
+    rows = dict(normals=((1, 0), (0, 1), (1, 1), (-1, 0)), offsets=(1, 5, 2, 0))
+    cases = (
+        (((0, 0), (3, 0), (0, 7)), "vertex 1 violates inequality 0 by 2"),
+        (((0, 0), (0, 7), (3, 0)), "vertex 1 violates inequality 1 by 2"),
+        (((0, 0), (1, Fraction(3, 2)), (3, 0)), "vertex 1 violates inequality 2 by 1/2"),
+        (((3, 0), (0, 0), (0, 0)), "vertex 0 violates inequality 0 by 2"),  # before the duplicate
+    )
+    for vertices, message in cases:
+        with pytest.raises(ValidationError) as err:
+            slack_embed(HPolytope(vertices=vertices, **rows))
+        assert str(err.value) == message
+
+
+def test_embed_without_inequality_rows_is_degenerate():
+    cases = (
+        (((0, 0), (1, 0), (0, 1)), "degenerate input: inequality normals do not span"),
+        (((0, 0), (1, 1)), "degenerate input: vertices do not span dimension 2"),
+        (((0,),), "degenerate input: vertices do not span dimension 1"),
+    )
+    for vertices, message in cases:
+        with pytest.raises(ValidationError) as err:
+            slack_embed(HPolytope((), (), vertices))
+        assert str(err.value) == message
+
+
 def test_embed_rhs_is_the_exact_dot_product_in_lowest_terms():
     # 1/6 <= x <= 5/6 and 1/6 <= y <= 5/6 with scaled rows: every b entry is
     # a product whose denominator shares a factor with its numerator
@@ -432,3 +460,26 @@ def test_nullspace_matches_sympy_on_dense_rationals(rows):
     expected = _sympy_basis(rows)
     for matrix in variants:
         assert _nullspace([list(row) for row in matrix]) == expected
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([("cube", 1), ("cube", 3), ("simplex", 2), ("simplex", 4), ("prism3", None),
+                        ("bipyramid3", None), ("truncated_cube", None)]), st.data())
+def test_embed_of_a_moved_fixture_lists_its_exact_slack_vectors(fixture, data):
+    # x -> s x + t with rows times positive factors: every vertex and row gets its own
+    # denominator, so a wrong common-scale factor shows in some slack
+    h = orc.fixture(*fixture)
+    s = data.draw(_POSITIVE)
+    t = data.draw(st.lists(_ENTRIES, min_size=h.dim, max_size=h.dim))
+    factors = data.draw(st.lists(_POSITIVE, min_size=len(h.normals), max_size=len(h.normals)))
+    normals = tuple(tuple(f * c for c in row) for f, row in zip(factors, h.normals))
+    offsets = tuple(f * (s * g + sum(c * x for c, x in zip(row, t)))
+                    for f, row, g in zip(factors, h.normals, h.offsets))
+    vertices = data.draw(st.permutations([tuple(s * x + y for x, y in zip(v, t))
+                                          for v in h.vertices]))
+    slacks = sorted(tuple(g - sum(c * x for c, x in zip(row, v)) for row, g in zip(normals, offsets))
+                    for v in vertices)
+    assert slack_embed(HPolytope(normals, offsets, tuple(vertices))).vertices == tuple(slacks)
