@@ -54,14 +54,16 @@ def precompute(p: Polytope) -> AdjacencyOracle:
 
     Simplicity uses the join map itself: P is simple exactly when every
     vertex has dim P partners whose pair count is 1.  Those partners are the
-    map's recorded count-1 pairs, so the vertex pairs are scanned once.
+    map's recorded count-1 pairs, counted straight off its entries, so the
+    vertex pairs are scanned once.
     """
     jm = build_join_map(p)
     d = p.dimension
     partners = [0] * p.vertex_count
-    for u, v in jm.unique_pairs():
-        partners[u] += 1
-        partners[v] += 1
+    for count, u, v in jm._joins.values():  # [count, first pair], as unique_pairs reads them
+        if count == 1:
+            partners[u] += 1
+            partners[v] += 1
     return AdjacencyOracle(jm, all(k == d for k in partners), p)
 
 

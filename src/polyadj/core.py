@@ -27,7 +27,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, log10
+from itertools import repeat
+from math import gcd, lcm, log10
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
            "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "face_vertices",
@@ -140,11 +141,37 @@ class ZeroSet:
         return f"ZeroSet({inner}, width={self.width})"
 
 
+def _scaled(nums: Sequence[int], dens: Sequence[int], rows: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``rows`` rows of the rationals ``nums[k] / dens[k]`` (row-major, each ``dens[k] > 0``)
+    as ``(scale, ints)`` in lowest terms: the least scale that makes the row integral, and
+    the row times it.  A coordinate column at a time: every row's lcm of its denominators,
+    each int column on those lcms, then every row's gcd with its lcm, 1 unless some entry
+    of the row is not in lowest terms."""
+    width = len(nums) // rows if rows else 0
+    if not width:
+        return [(1, ())] * rows
+    if dens.count(1) == len(dens):  # all integers: scale 1, rows cut straight from nums
+        return list(zip(repeat(1), zip(*[iter(nums)] * width)))
+    den_cols = [dens[i::width] for i in range(width)]
+    scales = list(map(lcm, *den_cols))
+    cols = [list(map(operator.mul, nums[i::width], map(operator.floordiv, scales, den)))
+            for i, den in enumerate(den_cols)]
+    gs = list(map(gcd, scales, *cols))
+    if gs.count(1) == rows:
+        return list(zip(scales, zip(*cols)))
+    return [(s // g, tuple(x // g for x in xs)) for s, g, xs in zip(scales, gs, zip(*cols))]
+
+
+def _integral_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """:func:`_scaled` on rows of ``Fraction`` or ``int`` entries."""
+    flat = [x for row in rows for x in row]
+    return _scaled(list(map(operator.attrgetter("numerator"), flat)),
+                   list(map(operator.attrgetter("denominator"), flat)), len(rows))
+
+
 def _integral(row: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
-    """``(scale, ints)``: the lcm of the denominators of ``row`` and the row
-    times that scale, as ints."""
-    scale = lcm(*(x.denominator for x in row))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in row)
+    """``(scale, ints)`` of one row: the one-row case of :func:`_integral_rows`."""
+    return _integral_rows((row,))[0]
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -261,7 +288,7 @@ class Polytope:
     ) -> None:
         verts, rows, rhs = _shaped(vertices, A, b, "equality", "b")
         vars(self).update(A=rows, b=rhs, vertices=verts)  # seed the caches
-        self._adopt(map(_integral, rows), _integral(rhs), map(_integral, verts))
+        self._adopt(_integral_rows(rows), _integral(rhs), _integral_rows(verts))
 
     @classmethod
     def _of_ints(cls, rows, rhs, points, trusted: bool = False) -> Polytope:

@@ -12,24 +12,28 @@ Layout, whitespace-separated with ``#`` comments ignored to end of line::
 
 Rationals are an optionally signed integer, or ``p/q`` with unsigned
 positive ``q``, in ASCII digits; an integer longer than ``int`` converts
-(``sys.get_int_max_str_digits()``) is refused with its line.  A section
-(``A``, ``b``, vertices) is read at a time: one regex and one length test
-check all its tokens, and only a section that fails them is checked token
-by token, in order, to word its first error.  Rows go straight into ints
-and are validated on them; ``Fraction`` tuples wait until a caller reads
-them.  Output is deterministic: same section order, one row per line,
-rationals in lowest terms.
+(``sys.get_int_max_str_digits()``) is refused with its line.  The file is
+read as one flat list of tokens, with no line numbers: a token's line is
+looked up only when something is refused.  A section (``A``, ``b``,
+vertices) is read at a time: one regex and one length test check all its
+tokens, and only a section that fails them is checked token by token, in
+order, to word its first error.  Rows go straight into ints, rationals
+scaled a coordinate column at a time (``core._scaled``), and are validated
+on them; ``Fraction`` tuples wait until a caller reads them.  Output is
+deterministic: same section order, one row per line, rationals in lowest
+terms.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable, Iterator
-from itertools import groupby, islice
-from math import gcd, lcm
+from collections.abc import Callable
+from itertools import groupby, repeat
+from math import gcd
+from operator import itemgetter
 
-from .core import Polytope, ValidationError
+from .core import Polytope, ValidationError, _scaled
 
 __all__ = ["format_polytope", "parse_polytope"]
 
@@ -37,13 +41,24 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 _INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 # valid rationals joined by single spaces: no denominator is zero
 _SECTION = re.compile(r"(?:[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?: |\Z))*")
-_Stream = Iterator[tuple[int, str]]  # (line number, token)
 
 
-def _tokens(text: str) -> _Stream:
+def _tokens(text: str) -> list[tuple[int, str]]:
     """Every token outside comments, in order, with its line number."""
-    return iter([(line_no, tok) for line_no, line in enumerate(text.splitlines(), start=1)
-                 for tok in line.split("#", 1)[0].split()])
+    return [(line_no, tok) for line_no, line in enumerate(text.splitlines(), start=1)
+            for tok in line.split("#", 1)[0].split()]
+
+
+class _Cursor:
+    """The tokens of ``text`` as one flat list, read in order from ``at``; the
+    line of token i is looked up (``line(i)``) only to word a refusal."""
+
+    def __init__(self, text: str) -> None:
+        self.text, self.at = text, 0
+        self.toks = " ".join(line.partition("#")[0] for line in text.splitlines()).split()
+
+    def line(self, i: int) -> int:
+        return _tokens(self.text)[i][0]
 
 
 class _Misaligned(ValidationError):
@@ -67,26 +82,27 @@ def _ragged_row(text: str, n: int, m: int, v_count: int) -> str:
     return ""
 
 
-def _take(tokens: _Stream, what: str) -> tuple[int, str]:
-    item = next(tokens, None)
-    if item is None:
+def _take(cur: _Cursor, what: str) -> tuple[int, str]:
+    """The position of the next token, and the token."""
+    if cur.at >= len(cur.toks):
         raise _Misaligned(f"unexpected end of input: expected {what}")
-    return item
+    cur.at += 1
+    return cur.at - 1, cur.toks[cur.at - 1]
 
 
-def _integer(tokens: _Stream, what: str) -> int:
-    line, tok = _take(tokens, what)
+def _integer(cur: _Cursor, what: str) -> int:
+    i, tok = _take(cur, what)
     if not _INTEGER.match(tok):
-        raise ValidationError(f"line {line}: expected integer for {what}, got {tok!r}")
+        raise ValidationError(f"line {cur.line(i)}: expected integer for {what}, got {tok!r}")
     if (limit := sys.get_int_max_str_digits()) and len(tok.lstrip("+-")) > limit:
-        raise ValidationError(f"line {line}: {what} has more than {limit} digits")
+        raise ValidationError(f"line {cur.line(i)}: {what} has more than {limit} digits")
     return int(tok)
 
 
-def _literal(tokens: _Stream, word: str) -> None:
-    line, tok = _take(tokens, f"section marker {word!r}")
+def _literal(cur: _Cursor, word: str) -> None:
+    i, tok = _take(cur, f"section marker {word!r}")
     if tok != word:
-        raise ValidationError(f"line {line}: expected section marker {word!r}, got {tok!r}")
+        raise ValidationError(f"line {cur.line(i)}: expected section marker {word!r}, got {tok!r}")
 
 
 def _refuse(items: list[tuple[int, str]], rows: int, width: int,
@@ -111,40 +127,35 @@ def _refuse(items: list[tuple[int, str]], rows: int, width: int,
             raise ValidationError(too_long)
 
 
-def _lowest(toks: list[str]) -> tuple[int, tuple[int, ...]]:
-    """Checked rationals as ``(scale, ints)`` in lowest terms."""
-    ratios = [(int(num), int(den or 1)) for num, _, den in (tok.partition("/") for tok in toks)]
-    scale = lcm(*(q for _, q in ratios))
-    ints = [p * (scale // q) for p, q in ratios]
-    g = gcd(scale, *ints)  # 1 when scale is the lcm of the denominators in lowest terms
-    return scale // g, tuple(x // g for x in ints)
-
-
-def _section(tokens: _Stream, rows: int, width: int,
+def _section(cur: _Cursor, rows: int, width: int,
              what: Callable[[int, int], str]) -> list[tuple[int, tuple[int, ...]]]:
     """The next ``rows`` rows of ``width`` rationals, each as ``(scale, ints)``:
-    the lcm of its denominators in lowest terms, and the row times it.  One
+    the least scale that makes the row integral, and the row times it.  One
     regex and one length test check the section; only when one fails, or the
-    input runs short, does ``_refuse`` check it token by token.  ``what(k, i)``
-    names entry i of row k in an error message."""
-    items = list(islice(tokens, min(rows * width, sys.maxsize)))
-    toks = [tok for _, tok in items]
+    input runs short, does ``_refuse`` check it token by token, with each
+    token's line.  A section holding a ``p/q`` is scaled a coordinate column at
+    a time (``core._scaled``).  ``what(k, i)`` names entry i of row k in an
+    error message."""
+    start = cur.at
+    toks = cur.toks[start:start + rows * width]
+    cur.at += len(toks)
     joined, limit = " ".join(toks), sys.get_int_max_str_digits()
-    if (len(items) < rows * width or not _SECTION.fullmatch(joined)
+    if (len(toks) < rows * width or not _SECTION.fullmatch(joined)
             or limit and max(map(len, toks), default=0) > limit):
-        _refuse(items, rows, width, what)
+        _refuse(_tokens(cur.text)[start:cur.at], rows, width, what)
     if "/" not in joined:
-        ints = list(map(int, toks))
-        return [(1, tuple(ints[k * width:(k + 1) * width])) for k in range(rows)]
-    return [_lowest(toks[k * width:(k + 1) * width]) for k in range(rows)]
+        return _scaled(list(map(int, toks)), [1] * len(toks), rows)
+    parts = list(map(str.partition, toks, repeat("/")))
+    return _scaled(list(map(int, map(itemgetter(0), parts))),
+                   [int(q) if q else 1 for _, _, q in parts], rows)
 
 
 def parse_polytope(text: str) -> Polytope:
     """Parse and validate; raises ValidationError with line diagnostics."""
-    tokens = _tokens(text)
-    n = _integer(tokens, "coordinate count n")
-    m = _integer(tokens, "equality row count m")
-    v_count = _integer(tokens, "vertex count V")
+    cur = _Cursor(text)
+    n = _integer(cur, "coordinate count n")
+    m = _integer(cur, "equality row count m")
+    v_count = _integer(cur, "vertex count V")
     if n < 1:
         raise ValidationError(f"coordinate count must be at least 1, got {n}")
     if m < 0:
@@ -153,15 +164,15 @@ def parse_polytope(text: str) -> Polytope:
         raise ValidationError(f"vertex count must be at least 1, got {v_count}")
 
     try:
-        _literal(tokens, "A")
-        A = _section(tokens, m, n, lambda j, i: f"A row {j} entry {i}")
-        _literal(tokens, "b")
-        (b,) = _section(tokens, 1, m, lambda _, j: f"b entry {j}")
-        _literal(tokens, "vertices")
-        points = _section(tokens, v_count, n, lambda k, i: f"vertex {k} coordinate {i + 1}")
-        extra = next(tokens, None)
-        if extra is not None:
-            raise _Misaligned(f"line {extra[0]}: trailing input starting at {extra[1]!r}")
+        _literal(cur, "A")
+        A = _section(cur, m, n, lambda j, i: f"A row {j} entry {i}")
+        _literal(cur, "b")
+        (b,) = _section(cur, 1, m, lambda _, j: f"b entry {j}")
+        _literal(cur, "vertices")
+        points = _section(cur, v_count, n, lambda k, i: f"vertex {k} coordinate {i + 1}")
+        if cur.at < len(cur.toks):
+            raise _Misaligned(
+                f"line {cur.line(cur.at)}: trailing input starting at {cur.toks[cur.at]!r}")
     except _Misaligned as exc:
         raise ValidationError(f"{exc}{_ragged_row(text, n, m, v_count)}") from None
     return Polytope._of_ints(A, b, points)

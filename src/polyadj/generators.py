@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .core import (Polytope, ValidationError, _bareiss, _integral, _shaped, _shown,
+from .core import (Polytope, ValidationError, _bareiss, _integral_rows, _shaped, _shown,
                    detect_facets, rank)
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
@@ -51,7 +51,7 @@ def _nullspace(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
     M's rows (same nullspace) reduce fraction-free to pivot entries all D, so it
     is D at f and -row_i[f] at pivot i, over its gcd carrying the sign of D."""
     width = len(rows[0])
-    reduced, pivots = _bareiss([list(_integral(r)[1]) for r in rows])
+    reduced, pivots = _bareiss([list(ints) for _, ints in _integral_rows(rows)])
     D = reduced[0][pivots[0]] if pivots else 1
     basis = []
     for f in sorted(set(range(width)) - set(pivots)):
@@ -78,12 +78,14 @@ def slack_embed(h: HPolytope) -> Polytope:
     Errors name vertices by their index in ``h``.  Correctness of the vertex
     list itself is presumed, as everywhere in this package.  Valid input costs
     no ``Fraction`` arithmetic: slacks, ``b``, the duplicate check and the
-    basis of ``A`` are ints, on rows and vertices scaled once; the slacks are
-    computed an inequality at a time, over the vertices' coordinate columns.
+    basis of ``A`` are ints, on rows and vertices scaled once, each list a
+    coordinate column at a time from its numerators and denominators
+    (``core._scaled``); the slacks are computed an inequality at a time, over
+    the vertices' coordinate columns.
     """
     d = h.dim
-    rows = [_integral((*c, g)) for c, g in zip(h.normals, h.offsets)]  # row and offset, one scale
-    points = [_integral(x) for x in h.vertices]
+    rows = _integral_rows([(*c, g) for c, g in zip(h.normals, h.offsets)])  # row, offset: one scale
+    points = _integral_rows(h.vertices)
     Ds, cols = [D for D, _ in points], list(zip(*(xs for _, xs in points)))  # cols by coordinate
     # every slack on one denominator S * L, so int tuples sort as the slack vectors do; with row j
     # and its offset times S // scale, slack j of x_int / D is (g D - c . x_int) / (S D)

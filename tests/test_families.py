@@ -315,6 +315,18 @@ def test_setup_builds_no_fraction_tuples():
         assert format_polytope(parse_polytope(out)) == out == format_polytope(q)
 
 
+def test_constructor_and_parser_scale_alike():
+    # Polytope(A, b, vertices) scales Fraction rows, the parser scales tokens
+    images = [build(*dims) for build, takes_dim in _GENERATORS.values()
+              for dims in ([(d,) for d in range(1, 5)] if takes_dim else [()])]
+    images += [parse_polytope(inst.text) for inst in _workload_instances()]
+    for p in images:
+        q = Polytope(p.A, p.b, p.vertices)
+        r = parse_polytope(format_polytope(p))
+        assert (q._rows, q._rhs, q._points) == (r._rows, r._rhs, r._points)
+        assert (q._rows, q._rhs, q._points) == (p._rows, p._rhs, p._points)
+
+
 def test_trusted_embedding_passes_the_validating_path():
     hforms = [orc.fixture(name, d) for name, d in (("cube", 1), ("cube", 3), ("simplex", 1),
                                                    ("simplex", 4))]

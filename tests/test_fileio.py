@@ -8,12 +8,13 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles as orc
 import polyadj
-from polyadj.core import ValidationError, ZeroSet
-from polyadj.fileio import _SECTION, _refuse, format_polytope, parse_polytope
+from polyadj.core import ValidationError, ZeroSet, _integral, _scaled
+from polyadj.fileio import (_SECTION, _Cursor, _refuse, _section, _tokens, format_polytope,
+                            parse_polytope)
 from polyadj.generators import _GENERATORS, cube, truncated_cube
 
 CUBE2_FILE = """\
@@ -348,3 +349,92 @@ def test_section_regex_and_token_check_agree(toks):
     except ValidationError:
         accepted = False
     assert (_SECTION.fullmatch(" ".join(toks)) is not None) == accepted
+
+
+# -- a section scaled a coordinate column at a time ----------------------------
+
+# numerators and denominators up to past 2**64; a denominator of 0 writes no "/"
+_WIDE = st.one_of(st.integers(0, 30), st.integers(2**64, 2**70))
+_WIDE_ENTRY = st.builds(_token, _SIGNS, _WIDE, st.one_of(st.just(0), _WIDE.filter(bool)))
+
+
+@given(st.integers(0, 4).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.lists(_WIDE_ENTRY, min_size=width, max_size=width), max_size=5))))
+@example((2, [["2/4", "-0/3"], ["+6/4", "0"], ["0/5", "-10/4"]]))
+@example((3, [["0", "-0/7", "+0"]]))
+@example((0, [[], [], []]))  # width 0
+@example((3, []))  # zero rows
+def test_sections_scale_as_fraction_then_integral(width_rows):
+    width, rows = width_rows
+    fractions = [[Fraction(tok) for tok in row] for row in rows]
+    want = [_integral(row) for row in fractions]
+    for (scale, ints), row in zip(want, fractions):  # the least scale that makes the row integral
+        assert scale == lcm(*(x.denominator for x in row))
+        assert ints == tuple(int(x * scale) for x in row)
+    toks = [tok for row in rows for tok in row]
+    cur = _Cursor(" ".join(toks))
+    assert _section(cur, len(rows), width, lambda k, i: f"row {k} entry {i}") == want
+    assert cur.at == len(toks)
+    parts = [tok.partition("/") for tok in toks]
+    assert _scaled([int(num) for num, _, _ in parts], [int(den or 1) for _, _, den in parts],
+                   len(rows)) == want
+
+
+# -- one flat token list; line numbers only for a refusal -----------------------
+
+# every line boundary of str.splitlines
+_LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _line_tokens(text):
+    """(line, token) pairs as the parser read them line by line."""
+    return [(line_no, tok) for line_no, line in enumerate(text.splitlines(), start=1)
+            for tok in line.split("#", 1)[0].split()]
+
+
+@pytest.mark.parametrize("end", _LINE_ENDS, ids=repr)
+def test_a_comment_ends_at_every_line_boundary(end):
+    text = f"1 2# one{end}3 #two 4{end}# three{end}5{end}"
+    assert _Cursor(text).toks == ["1", "2", "3", "5"]
+    assert _tokens(text) == _line_tokens(text) == [(1, "1"), (1, "2"), (2, "3"), (4, "5")]
+    commented = CUBE2_FILE.replace("\n", f"  # note 9{end}")
+    assert format_polytope(parse_polytope(commented)) == CUBE2_FILE
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(commented.replace("0 1 1 0", "0 1 x 0"))
+    assert str(err.value) == "line 9: malformed rational for vertex 1 coordinate 3: 'x'"
+
+
+@given(st.lists(st.sampled_from(["1", "2/3", "x", " ", "\t", "#", "\x1f", *_LINE_ENDS]),
+                max_size=30).map("".join))
+def test_flat_tokens_are_the_line_tokens(text):
+    assert _Cursor(text).toks == [tok for _, tok in _line_tokens(text)]
+    assert _tokens(text) == _line_tokens(text)
+
+
+def _after_comment_crlf(old: str, new: str) -> str:
+    """CUBE2_FILE with line ``old`` made ``new`` behind a comment-only line, in CRLF."""
+    lines = CUBE2_FILE.splitlines()
+    k = lines.index(old)
+    lines[k:k + 1] = ["# the next line is wrong", new]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_refusals_name_their_line_after_a_comment_line_in_a_crlf_file():
+    for text, message in (
+        (_after_comment_crlf("4 2 4", "4 x 4"),
+         "line 2: expected integer for equality row count m, got 'x'"),
+        (_after_comment_crlf("A", "B"), "line 3: expected section marker 'A', got 'B'"),
+        (_after_comment_crlf("0 1 0 1", "0 1 0 y"),
+         "line 5: malformed rational for A row 1 entry 3: 'y'"),
+        (_after_comment_crlf("1 1", "1 1/0"), "line 7: zero denominator for b entry 1: '1/0'"),
+        (_after_comment_crlf("1 0 0 1", "1 0 0 z"),
+         "line 11: malformed rational for vertex 2 coordinate 4: 'z'"),
+        (_after_comment_crlf("1 0 0 1", "1 0 0 1 5"),
+         "line 12: trailing input starting at '0'; "
+         "line 11 holds 5 entries for vertex 2, expected 4"),
+        (_after_comment_crlf("1 1 0 0", "1 1 0 0\r\n# trailing\r\n9"),
+         "line 14: trailing input starting at '9'"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_polytope(text)
+        assert str(err.value) == message
