@@ -6,8 +6,8 @@ face structure: the set of coordinates that vanish on a face determines the
 face, so most questions reduce to bit operations on per-vertex zero sets.
 Those are kept as plain ``int`` masks, and every query works on them;
 :class:`ZeroSet` is a checked view of one, built only where a caller asks.
-Facets come from those zero sets alone, with no rank, in O(n^2 V + n V^2)
-bit operations, kept as their vertex bitmasks and transposed once into one
+Facets come from those zero sets alone, with no rank, in O(n^2 V) bit
+operations, kept as their vertex bitmasks and transposed once into one
 facet bitmask per vertex; the dimension of P or of any face is a chain of
 coordinate faces, also with no rank.
 
@@ -163,15 +163,9 @@ def _scaled(nums: Sequence[int], dens: Sequence[int], rows: int) -> list[tuple[i
 
 
 def _integral_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """:func:`_scaled` on rows of ``Fraction`` or ``int`` entries."""
-    flat = [x for row in rows for x in row]
-    return _scaled(list(map(operator.attrgetter("numerator"), flat)),
-                   list(map(operator.attrgetter("denominator"), flat)), len(rows))
-
-
-def _integral(row: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
-    """``(scale, ints)`` of one row: the one-row case of :func:`_integral_rows`."""
-    return _integral_rows((row,))[0]
+    """:func:`_scaled` on rows of ``Fraction`` or ``int`` entries, each read once."""
+    ratios = [x.as_integer_ratio() for row in rows for x in row]
+    return _scaled([p for p, _ in ratios], [q for _, q in ratios], len(rows))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -287,8 +281,7 @@ class Polytope:
         vertices: Iterable[Iterable[Fraction | int | str]],
     ) -> None:
         verts, rows, rhs = _shaped(vertices, A, b, "equality", "b")
-        vars(self).update(A=rows, b=rhs, vertices=verts)  # seed the caches
-        self._adopt(_integral_rows(rows), _integral(rhs), _integral_rows(verts))
+        self._adopt(_integral_rows(rows), _integral_rows((rhs,))[0], _integral_rows(verts))
 
     @classmethod
     def _of_ints(cls, rows, rhs, points, trusted: bool = False) -> Polytope:
@@ -304,13 +297,13 @@ class Polytope:
         if not trusted:
             # row . v == b_j  iff  sum(c * R * x) == b_int * S * D: row, b, v scaled by S, R, D
             R, bs = rhs
-            equalities = [([(i, c * R) for i, c in enumerate(ints) if c], bj * S)
+            equalities = [([(i, c * R) for i, c in enumerate(ints) if c], bj * S, S * R)
                           for (S, ints), bj in zip(self._rows, bs)]
             scales = [D for D, _ in self._points]
             cols = list(zip(*(xs for _, xs in self._points)))  # one tuple per coordinate
             # equal points have equal reduced scalings
             valid = min(map(min, cols)) >= 0 and len(set(self._points)) == len(scales)
-            for terms, bj in equalities:
+            for terms, bj, _ in equalities:
                 lhs = [0] * len(scales)  # row . v of every vertex v, a column at a time
                 for i, c in terms:
                     lhs = [a + c * x for a, x in zip(lhs, cols[i])]
@@ -320,21 +313,22 @@ class Polytope:
         self._zero_bits = tuple(sum(1 << i for i, x in enumerate(xs) if not x)  # ZeroSet.bits
                                 for _, xs in self._points)
 
-    def _refuse(self, equalities: list[tuple[list[tuple[int, int]], int]]) -> None:
+    def _refuse(self, equalities: list[tuple[list[tuple[int, int]], int, int]]) -> None:
         """Raises the first refusal, a vertex at a time in order: a negative
-        coordinate, a failed equality, then a vertex equal to an earlier one."""
+        coordinate, a failed equality, then a vertex equal to an earlier one.
+        Values are worded from the ints, each equality's on its scale ``S * R``."""
         seen: dict[tuple[int, tuple[int, ...]], int] = {}
         for k, point in enumerate(self._points):
             scale, xs = point
             if min(xs) < 0:
                 i = next(i for i, x in enumerate(xs) if x < 0)
-                raise ValidationError(
-                    f"vertex {k}: coordinate {i + 1} is negative ({_shown(self.vertices[k][i])})")
-            for j, (terms, bj) in enumerate(equalities):
-                if sum(c * xs[i] for i, c in terms) != bj * scale:
-                    lhs = sum(c * x for c, x in zip(self.A[j], self.vertices[k]))
-                    raise ValidationError(f"vertex {k}: equality row {j} gives {_shown(lhs)}, "
-                                          f"expected {_shown(self.b[j])}")
+                raise ValidationError(f"vertex {k}: coordinate {i + 1} is negative "
+                                      f"({_shown(Fraction(xs[i], scale))})")
+            for j, (terms, bj, SR) in enumerate(equalities):
+                if (lhs := sum(c * xs[i] for i, c in terms)) != bj * scale:
+                    raise ValidationError(f"vertex {k}: equality row {j} gives "
+                                          f"{_shown(Fraction(lhs, SR * scale))}, "
+                                          f"expected {_shown(Fraction(bj, SR))}")
             dup = seen.setdefault(point, k)
             if dup != k:
                 raise ValidationError(f"vertices {dup} and {k} are identical")
@@ -493,7 +487,8 @@ def detect_facets(p: Polytope) -> Facets:
     Every facet of a standard-form polytope is some ``{x_i = 0}``, so the
     facets are the maximal proper, nonempty coordinate faces; coordinates
     with identical vertex sets name the same facet and are merged.  Vertex
-    incidences only, no rank: O(n^2 V + n V^2) bit operations.
+    incidences only, no rank: at most n^2 ANDs of V-bit masks and two
+    O(n V) transposes, so O(n^2 V) bit operations.
     """
     on_coord = p.coordinate_faces
     proper = set(on_coord) - {0, (1 << p.vertex_count) - 1}

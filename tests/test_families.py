@@ -327,6 +327,54 @@ def test_constructor_and_parser_scale_alike():
         assert (q._rows, q._rhs, q._points) == (p._rows, p._rhs, p._points)
 
 
+def test_constructor_keeps_only_the_int_rows():
+    # A, b and vertices are built on first read, after the constructor as after the parser
+    images = [build(*dims) for build, takes_dim in _GENERATORS.values()
+              for dims in ([(d,) for d in range(1, 5)] if takes_dim else [()])]
+    images += [parse_polytope(inst.text) for inst in _workload_instances()]
+    for p in images:
+        q = Polytope(p.A, p.b, p.vertices)
+        assert not {"A", "b", "vertices"} & vars(q).keys()
+        assert (q.A, q.b, q.vertices) == (p.A, p.b, p.vertices)
+        assert {"A", "b", "vertices"} <= vars(q).keys()
+    q = Polytope([["1", "2/4"]], ["1"], [("0", 2), (Fraction(1, 2), "3/3")])
+    assert not {"A", "b", "vertices"} & vars(q).keys()
+    assert (q.A, q.b) == (((1, Fraction(1, 2)),), (1,))
+    assert q.vertices == ((0, 2), (Fraction(1, 2), 1))
+
+
+_LONG = 10**2500 - 1  # its square has 5000 digits, past the default limit of str(int)
+
+# (A, b, vertices) and the refusal, each value worded as a Fraction would print it
+_REFUSALS = (
+    (([[1, 1]], [1], [(0, 1), (Fraction(3, 2), Fraction(-1, 2))]),
+     "vertex 1: coordinate 2 is negative (-1/2)"),
+    (([[1, 1, 0], ["1/3", "2/5", "1/2"]], [1, "1/7"], [("1/2", "1/2", 0), (1, 0, 0)]),
+     "vertex 0: equality row 1 gives 11/30, expected 1/7"),
+    (([[1, 1]], [1], [(0, 1), (1, 0), ("0/5", "3/3")]), "vertices 0 and 2 are identical"),
+    (([[_LONG]], [1], [(_LONG,)]), "vertex 0: equality row 0 gives <5000 digits>, expected 1"),
+)
+
+
+def _text(A, b, vertices):
+    rows = [" ".join(map(str, row)) for row in (*A, b, *vertices)]
+    return "\n".join([f"{len(vertices[0])} {len(A)} {len(vertices)}", "A", *rows[:len(A)],
+                      "b", rows[len(A)], "vertices", *rows[len(A) + 1:]]) + "\n"
+
+
+def test_refusals_build_no_fraction_view(monkeypatch):
+    def loud(self):
+        raise AssertionError("a Fraction view was built")
+
+    for name in ("A", "b", "vertices"):
+        monkeypatch.setattr(Polytope, name, property(loud))
+    for args, message in _REFUSALS:
+        for refuse in (lambda: Polytope(*args), lambda: parse_polytope(_text(*args))):
+            with pytest.raises(ValidationError) as err:
+                refuse()
+            assert str(err.value) == message
+
+
 def test_trusted_embedding_passes_the_validating_path():
     hforms = [orc.fixture(name, d) for name, d in (("cube", 1), ("cube", 3), ("simplex", 1),
                                                    ("simplex", 4))]

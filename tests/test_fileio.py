@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles as orc
 import polyadj
-from polyadj.core import ValidationError, ZeroSet, _integral, _scaled
+from polyadj.core import ValidationError, ZeroSet, _integral_rows, _scaled
 from polyadj.fileio import (_SECTION, _Cursor, _refuse, _section, _tokens, format_polytope,
                             parse_polytope)
 from polyadj.generators import _GENERATORS, cube, truncated_cube
@@ -367,7 +367,7 @@ _WIDE_ENTRY = st.builds(_token, _SIGNS, _WIDE, st.one_of(st.just(0), _WIDE.filte
 def test_sections_scale_as_fraction_then_integral(width_rows):
     width, rows = width_rows
     fractions = [[Fraction(tok) for tok in row] for row in rows]
-    want = [_integral(row) for row in fractions]
+    want = [_integral_rows([row])[0] for row in fractions]
     for (scale, ints), row in zip(want, fractions):  # the least scale that makes the row integral
         assert scale == lcm(*(x.denominator for x in row))
         assert ints == tuple(int(x * scale) for x in row)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from polyadj.core import (
-    Polytope, ValidationError, _bareiss, _integral, _rref, detect_facets, is_simple,
+    Polytope, ValidationError, _bareiss, _integral_rows, _rref, detect_facets, is_simple,
 )
 from polyadj.generators import (
     _GENERATORS,
@@ -442,7 +442,7 @@ def _sympy_basis(rows):
 
 
 def _last_pivot(rows):
-    reduced, pivots = _bareiss([list(_integral(row)[1]) for row in rows])
+    reduced, pivots = _bareiss([list(ints) for _, ints in _integral_rows(rows)])
     return reduced[0][pivots[0]] if pivots else 1
 
 

@@ -1,8 +1,11 @@
 """The public surface: each name is declared once, in the module that defines
-it, and the README's library example gives the values it states."""
+it, the README's library example gives the values it states, and the package
+runs on the standard library alone."""
 
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -58,3 +61,23 @@ def test_readme_library_example():
             exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
     assert checked == [(want, want) for want in
                        ("Verdict.ADJACENT", "[(0, 7), (1, 6), (2, 5), (3, 4)]", "(1, 6)")]
+
+
+def test_runs_on_the_standard_library_alone():
+    # README: no runtime dependency.  Under -S no site-packages are on the path,
+    # and every module the CLI loads is the package's own or the standard library's
+    src = Path(polyadj.__file__).resolve().parents[1]
+    code = f"""if True:
+        import contextlib, io, sys
+        sys.path.insert(0, {str(src)!r})
+        from polyadj import cli
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert cli.main(["gen", "cube", "3"]) == 0
+        sys.stdin = io.StringIO(text.getvalue())
+        assert cli.main(["info"]) == 0
+        top = {{name.partition(".")[0] for name in sys.modules}}
+        print(sorted(top - sys.stdlib_module_names - {{"polyadj", "__main__"}}))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "n 6\nm 3\nvertices 8\ndim 3\nfacets 6\nsimple yes\n[]\n"
