@@ -14,14 +14,16 @@ Rationals are an optionally signed integer, or ``p/q`` with unsigned
 positive ``q``, in ASCII digits; an integer longer than ``int`` converts
 (``sys.get_int_max_str_digits()``) is refused with its line.  The file is
 read as one flat list of tokens, with no line numbers: a token's line is
-looked up only when something is refused.  A section (``A``, ``b``,
-vertices) is read at a time: one regex and one length test check all its
-tokens, and only a section that fails them is checked token by token, in
-order, to word its first error.  Rows go straight into ints, rationals
-scaled a coordinate column at a time (``core._scaled``), and are validated
-on them; ``Fraction`` tuples wait until a caller reads them.  Output is
-deterministic: same section order, one row per line, rationals in lowest
-terms.
+looked up only when something is refused.  The header's counts fix every
+section's position in that list, so the parser keeps no cursor: marker
+``A`` is token 3, ``b`` token 4 + mn, ``vertices`` token 5 + mn + m, and the
+input ends at 6 + mn + m + Vn.  Each section checks its own marker, then
+one regex and one length test check all its tokens, and only a section
+that fails them is checked token by token, in order, to word its first
+error.  Rows go straight into ints, rationals scaled a coordinate column at
+a time (``core._scaled``), and are validated on them; ``Fraction`` tuples
+wait until a caller reads them.  Output is deterministic: same section
+order, one row per line, rationals in lowest terms.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 _INTEGER = re.compile(r"[+-]?[0-9]+\Z")
 # valid rationals joined by single spaces: no denominator is zero
 _SECTION = re.compile(r"(?:[+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?: |\Z))*")
+# each section's marker, and the name of entry i of its row k in a refusal
+_SECTIONS = (("A", lambda k, i: f"A row {k} entry {i}"),
+             ("b", lambda _, j: f"b entry {j}"),
+             ("vertices", lambda k, i: f"vertex {k} coordinate {i + 1}"))
 
 
 def _tokens(text: str) -> list[tuple[int, str]]:
@@ -49,16 +55,9 @@ def _tokens(text: str) -> list[tuple[int, str]]:
             for tok in line.split("#", 1)[0].split()]
 
 
-class _Cursor:
-    """The tokens of ``text`` as one flat list, read in order from ``at``; the
-    line of token i is looked up (``line(i)``) only to word a refusal."""
-
-    def __init__(self, text: str) -> None:
-        self.text, self.at = text, 0
-        self.toks = " ".join(line.partition("#")[0] for line in text.splitlines()).split()
-
-    def line(self, i: int) -> int:
-        return _tokens(self.text)[i][0]
+def _flat(text: str) -> list[str]:
+    """Every token outside comments, in order, with no line numbers."""
+    return " ".join(line.partition("#")[0] for line in text.splitlines()).split()
 
 
 class _Misaligned(ValidationError):
@@ -82,27 +81,18 @@ def _ragged_row(text: str, n: int, m: int, v_count: int) -> str:
     return ""
 
 
-def _take(cur: _Cursor, what: str) -> tuple[int, str]:
-    """The position of the next token, and the token."""
-    if cur.at >= len(cur.toks):
+def _token(toks: list[str], i: int, what: str) -> str:
+    if i >= len(toks):
         raise _Misaligned(f"unexpected end of input: expected {what}")
-    cur.at += 1
-    return cur.at - 1, cur.toks[cur.at - 1]
+    return toks[i]
 
 
-def _integer(cur: _Cursor, what: str) -> int:
-    i, tok = _take(cur, what)
-    if not _INTEGER.match(tok):
-        raise ValidationError(f"line {cur.line(i)}: expected integer for {what}, got {tok!r}")
+def _integer(toks: list[str], text: str, i: int, what: str) -> int:
+    if not _INTEGER.match(tok := _token(toks, i, what)):
+        raise ValidationError(f"line {_tokens(text)[i][0]}: expected integer for {what}, got {tok!r}")
     if (limit := sys.get_int_max_str_digits()) and len(tok.lstrip("+-")) > limit:
-        raise ValidationError(f"line {cur.line(i)}: {what} has more than {limit} digits")
+        raise ValidationError(f"line {_tokens(text)[i][0]}: {what} has more than {limit} digits")
     return int(tok)
-
-
-def _literal(cur: _Cursor, word: str) -> None:
-    i, tok = _take(cur, f"section marker {word!r}")
-    if tok != word:
-        raise ValidationError(f"line {cur.line(i)}: expected section marker {word!r}, got {tok!r}")
 
 
 def _refuse(items: list[tuple[int, str]], rows: int, width: int,
@@ -127,35 +117,37 @@ def _refuse(items: list[tuple[int, str]], rows: int, width: int,
             raise ValidationError(too_long)
 
 
-def _section(cur: _Cursor, rows: int, width: int,
+def _section(toks: list[str], text: str, at: int, word: str, rows: int, width: int,
              what: Callable[[int, int], str]) -> list[tuple[int, tuple[int, ...]]]:
-    """The next ``rows`` rows of ``width`` rationals, each as ``(scale, ints)``:
-    the least scale that makes the row integral, and the row times it.  One
-    regex and one length test check the section; only when one fails, or the
-    input runs short, does ``_refuse`` check it token by token, with each
-    token's line.  A section holding a ``p/q`` is scaled a coordinate column at
-    a time (``core._scaled``).  ``what(k, i)`` names entry i of row k in an
-    error message."""
-    start = cur.at
-    toks = cur.toks[start:start + rows * width]
-    cur.at += len(toks)
-    joined, limit = " ".join(toks), sys.get_int_max_str_digits()
-    if (len(toks) < rows * width or not _SECTION.fullmatch(joined)
-            or limit and max(map(len, toks), default=0) > limit):
-        _refuse(_tokens(cur.text)[start:cur.at], rows, width, what)
+    """The section whose marker ``word`` is token ``at``: the ``rows`` rows of
+    ``width`` rationals after it, each as ``(scale, ints)``: the least scale
+    that makes the row integral, and the row times it.  One regex and one
+    length test check the section; only when one fails, or the input runs
+    short, does ``_refuse`` check it token by token, with each token's line.
+    A section holding a ``p/q`` is scaled a coordinate column at a time
+    (``core._scaled``).  ``what(k, i)`` names entry i of row k in an error
+    message."""
+    if (tok := _token(toks, at, f"section marker {word!r}")) != word:
+        raise ValidationError(
+            f"line {_tokens(text)[at][0]}: expected section marker {word!r}, got {tok!r}")
+    span = slice(at + 1, at + 1 + rows * width)
+    joined, limit = " ".join(sec := toks[span]), sys.get_int_max_str_digits()
+    if (len(sec) < rows * width or not _SECTION.fullmatch(joined)
+            or limit and max(map(len, sec), default=0) > limit):
+        _refuse(_tokens(text)[span], rows, width, what)
     if "/" not in joined:
-        return _scaled(list(map(int, toks)), [1] * len(toks), rows)
-    parts = list(map(str.partition, toks, repeat("/")))
+        return _scaled(list(map(int, sec)), [1] * len(sec), rows)
+    parts = list(map(str.partition, sec, repeat("/")))
     return _scaled(list(map(int, map(itemgetter(0), parts))),
                    [int(q) if q else 1 for _, _, q in parts], rows)
 
 
 def parse_polytope(text: str) -> Polytope:
     """Parse and validate; raises ValidationError with line diagnostics."""
-    cur = _Cursor(text)
-    n = _integer(cur, "coordinate count n")
-    m = _integer(cur, "equality row count m")
-    v_count = _integer(cur, "vertex count V")
+    toks = _flat(text)
+    n = _integer(toks, text, 0, "coordinate count n")
+    m = _integer(toks, text, 1, "equality row count m")
+    v_count = _integer(toks, text, 2, "vertex count V")
     if n < 1:
         raise ValidationError(f"coordinate count must be at least 1, got {n}")
     if m < 0:
@@ -163,29 +155,35 @@ def parse_polytope(text: str) -> Polytope:
     if v_count < 1:
         raise ValidationError(f"vertex count must be at least 1, got {v_count}")
 
+    at, sections = 3, []
     try:
-        _literal(cur, "A")
-        A = _section(cur, m, n, lambda j, i: f"A row {j} entry {i}")
-        _literal(cur, "b")
-        (b,) = _section(cur, 1, m, lambda _, j: f"b entry {j}")
-        _literal(cur, "vertices")
-        points = _section(cur, v_count, n, lambda k, i: f"vertex {k} coordinate {i + 1}")
-        if cur.at < len(cur.toks):
-            raise _Misaligned(
-                f"line {cur.line(cur.at)}: trailing input starting at {cur.toks[cur.at]!r}")
+        for (word, what), (rows, width) in zip(_SECTIONS, ((m, n), (1, m), (v_count, n))):
+            sections.append(_section(toks, text, at, word, rows, width, what))
+            at += 1 + rows * width
+        if at < len(toks):
+            raise _Misaligned(f"line {_tokens(text)[at][0]}: trailing input starting at {toks[at]!r}")
     except _Misaligned as exc:
         raise ValidationError(f"{exc}{_ragged_row(text, n, m, v_count)}") from None
+    A, (b,), points = sections
     return Polytope._of_ints(A, b, points)
 
 
 def format_polytope(p: Polytope) -> str:
     """Deterministic text form; parses back to an equal polytope.  Printed from
-    the int rows: entry x on scale s is x // g over s // g, with g = gcd(x, s)."""
-    def line(scale: int, ints: tuple[int, ...]) -> str:  # as str(Fraction) spells each entry
-        return " ".join(str(x // g) if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}"
-                        for x in ints)
-    lines = [f"{p.n} {p.m} {p.vertex_count}", "A", *(line(*row) for row in p._rows), "b"]
-    if p.m:
-        lines.append(line(*p._rhs))
-    lines += ["vertices", *(line(*point) for point in p._points)]
-    return "\n".join(lines) + "\n"
+    the int rows: entry x on scale s is x // g over s // g, with g = gcd(x, s).
+    The first entry, in file order, whose x // g or s // g has more digits than
+    ``int`` converts raises ValueError, worded as the parser refuses it."""
+    text = [f"{p.n} {p.m} {p.vertex_count}"]
+    for (word, what), rows in zip(_SECTIONS, (p._rows, [p._rhs] if p.m else [], p._points)):
+        text.append(word)
+        for k, (scale, ints) in enumerate(rows):
+            row: list[str] = []  # each entry as str(Fraction) spells it
+            try:
+                for x in ints:
+                    g = gcd(x, scale)
+                    row.append(str(x // g) if g == scale else f"{x // g}/{scale // g}")
+            except ValueError:  # str of an int past sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"{what(k, len(row))} has more than {limit} digits") from None
+            text.append(" ".join(row))
+    return "\n".join(text) + "\n"

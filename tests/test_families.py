@@ -402,6 +402,9 @@ def test_valid_input_runs_no_refusal_loop(monkeypatch):
 
     monkeypatch.setattr(fileio, "_refuse", loud)
     monkeypatch.setattr(Polytope, "_refuse", loud)
+    # a token's line is looked up only for a refusal
+    monkeypatch.setattr(fileio, "_tokens", loud)
+    monkeypatch.setattr(fileio, "_ragged_row", loud)
     for text in texts:
         p = parse_polytope(text)
         Polytope(p.A, p.b, p.vertices)

@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 import oracles as orc
 import polyadj
 from polyadj.core import ValidationError, ZeroSet, _integral_rows, _scaled
-from polyadj.fileio import (_SECTION, _Cursor, _refuse, _section, _tokens, format_polytope,
+from polyadj.fileio import (_SECTION, _flat, _refuse, _section, _tokens, format_polytope,
                             parse_polytope)
 from polyadj.generators import _GENERATORS, cube, truncated_cube
 
@@ -125,6 +125,23 @@ def test_parse_names_the_line_of_an_over_long_entry():
     with pytest.raises(ValidationError) as err:
         parse_polytope(CUBE2_FILE.replace("0 1 1 0", f"0 {long} 1 x"))
     assert str(err.value) == "line 9: malformed rational for vertex 1 coordinate 4: 'x'"
+
+
+def test_format_refuses_an_entry_the_parser_would_refuse():
+    # str(int) would refuse these with no entry; the first in file order is named
+    limit = sys.get_int_max_str_digits()
+    big, Polytope = 10**5000, polyadj.Polytope
+    for p, where in ((Polytope([[1]], [big], [(big,)]), "b entry 0"),
+                     (Polytope([[0]], [0], [(Fraction(1, big),)]), "vertex 0 coordinate 1"),
+                     (Polytope([[big]], [big], [(1,)]), "A row 0 entry 0")):
+        with pytest.raises(ValueError) as err:
+            format_polytope(p)
+        assert str(err.value) == f"{where} has more than {limit} digits"
+    # an entry of the limit's digits still prints, and parses back equal
+    top = int("9" * limit)
+    for p in (Polytope([[1]], [top], [(top,)]), Polytope([[0]], [0], [(Fraction(1, top),)])):
+        q = parse_polytope(format_polytope(p))
+        assert (q._rows, q._rhs, q._points) == (p._rows, p._rhs, p._points)
 
 
 def test_parse_keeps_the_refusal_order_across_rows():
@@ -372,9 +389,9 @@ def test_sections_scale_as_fraction_then_integral(width_rows):
         assert scale == lcm(*(x.denominator for x in row))
         assert ints == tuple(int(x * scale) for x in row)
     toks = [tok for row in rows for tok in row]
-    cur = _Cursor(" ".join(toks))
-    assert _section(cur, len(rows), width, lambda k, i: f"row {k} entry {i}") == want
-    assert cur.at == len(toks)
+    text = " ".join(["rows", *toks])
+    assert _section(_flat(text), text, 0, "rows", len(rows), width,
+                    lambda k, i: f"row {k} entry {i}") == want
     parts = [tok.partition("/") for tok in toks]
     assert _scaled([int(num) for num, _, _ in parts], [int(den or 1) for _, _, den in parts],
                    len(rows)) == want
@@ -395,7 +412,7 @@ def _line_tokens(text):
 @pytest.mark.parametrize("end", _LINE_ENDS, ids=repr)
 def test_a_comment_ends_at_every_line_boundary(end):
     text = f"1 2# one{end}3 #two 4{end}# three{end}5{end}"
-    assert _Cursor(text).toks == ["1", "2", "3", "5"]
+    assert _flat(text) == ["1", "2", "3", "5"]
     assert _tokens(text) == _line_tokens(text) == [(1, "1"), (1, "2"), (2, "3"), (4, "5")]
     commented = CUBE2_FILE.replace("\n", f"  # note 9{end}")
     assert format_polytope(parse_polytope(commented)) == CUBE2_FILE
@@ -407,7 +424,7 @@ def test_a_comment_ends_at_every_line_boundary(end):
 @given(st.lists(st.sampled_from(["1", "2/3", "x", " ", "\t", "#", "\x1f", *_LINE_ENDS]),
                 max_size=30).map("".join))
 def test_flat_tokens_are_the_line_tokens(text):
-    assert _Cursor(text).toks == [tok for _, tok in _line_tokens(text)]
+    assert _flat(text) == [tok for _, tok in _line_tokens(text)]
     assert _tokens(text) == _line_tokens(text)
 
 
