@@ -53,17 +53,15 @@ def precompute(p: Polytope) -> AdjacencyOracle:
     """Three stages: build the join map, compute dim P, test simplicity.
 
     Simplicity uses the join map itself: P is simple exactly when every
-    vertex has dim P partners whose pair count is 1.  Those partners are the
-    map's recorded count-1 pairs, counted straight off its entries, so the
-    vertex pairs are scanned once.
+    vertex has dim P partners whose pair count is 1.  Those partners are
+    counted off the map's ``unique_pairs``, so the pairs are scanned once.
     """
     jm = build_join_map(p)
     d = p.dimension
     partners = [0] * p.vertex_count
-    for count, u, v in jm._joins.values():  # [count, first pair], as unique_pairs reads them
-        if count == 1:
-            partners[u] += 1
-            partners[v] += 1
+    for u, v in jm.unique_pairs():
+        partners[u] += 1
+        partners[v] += 1
     return AdjacencyOracle(jm, all(k == d for k in partners), p)
 
 
@@ -109,11 +107,13 @@ def algebraic_test(p: Polytope, u: int, v: int) -> bool:
 def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> list[tuple[int, int]]:
     """Edge list of the polytope graph, ascending, exact for all polytopes.
 
-    Only pairs alone on their join can be edges.  On a simple polytope they
-    all are; otherwise each is settled combinatorially.
+    Only pairs alone on their join can be edges: all are on a simple polytope,
+    else each is settled combinatorially.  Refuses an oracle of other zero sets.
     """
     if oracle is None:
         oracle = precompute(p)
+    elif oracle.polytope is not p and oracle.polytope._zero_bits != p._zero_bits:
+        raise ValueError("oracle was built for a different polytope")
     pairs = oracle.join_map.unique_pairs()
     if oracle.simple:
         return pairs

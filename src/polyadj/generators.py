@@ -121,11 +121,10 @@ def slack_embed(h: HPolytope) -> Polytope:
     if not spans:
         raise ValidationError("degenerate input: inequality normals do not span")
     facets = detect_facets(p)
-    for j, verts in enumerate(p.coordinate_faces):
-        if not verts:
-            raise ValidationError(f"inequality {j} is tight on no vertex")
-        if j + 1 in facets.non_facet_coordinates:
-            raise ValidationError(f"inequality {j} is not facet-defining (tight set not maximal)")
+    if facets.non_facet_coordinates:  # ascending, 1-based; an empty face is never a facet
+        j = facets.non_facet_coordinates[0] - 1
+        raise ValidationError(f"inequality {j} is tight on no vertex" if not p.coordinate_faces[j]
+                              else f"inequality {j} is not facet-defining (tight set not maximal)")
     for k, mask in sorted(zip(order, facets.masks)):
         on = mask.bit_count()
         if on < d:

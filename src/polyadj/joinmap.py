@@ -9,7 +9,8 @@ an adjacency oracle.
 
 Counts live in one dict keyed by the subset's ``bits``, together with the
 first pair that joined to it: one O(n V^2) scan fills it, a lookup is O(1)
-after O(n) key formation, and the count-1 pairs are read straight off it.
+after O(n) key formation, and ``unique_pairs`` alone reads the count-1 pairs
+off it, ascending in scan order, for simplicity and for the edge list.
 The paper's binary trie (the node at depth k branches on whether coordinate
 k + 1 is absent or present) is derived from the key set on demand.
 """
@@ -92,10 +93,12 @@ class JoinMap:
 
     def unique_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs (u, v), u < v, that are alone on their join, ascending.
-        On a simple polytope these are exactly its edges."""
+        On a simple polytope these are exactly its edges.  No sort: only
+        :func:`build_join_map` records pairs, scanning them in ascending order
+        and filing each join at its first, so a count-1 join's pair is in order."""
         if not self._pairs_recorded:
             raise ValueError("join map was filled through increment and records no vertex pairs")
-        return sorted((u, v) for count, u, v in self._joins.values() if count == 1)
+        return [(u, v) for count, u, v in self._joins.values() if count == 1]
 
     def freeze(self) -> None:
         """Disallow further increments; reads stay safe under concurrency."""

@@ -234,8 +234,8 @@ def disjoint_pairs(
 
 def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list[int]:
     """Breadth-first shortest path, deterministic by ascending neighbor order:
-    layer by layer, each predecessor kept in a flat list from the vertex's
-    first discovery on, stopping once ``target`` is discovered; O(V + E).
+    one first-in, first-out list, each predecessor kept in a flat list from the
+    vertex's first discovery on, stopping once ``target`` is discovered; O(V + E).
     Refuses the first entry outside 0..V - 1 when the walk meets a bad one,
     save one in -2V..-V-1 whose slot is an already discovered vertex: that
     entry is skipped, not refused, as refusing it needs a compare per entry."""
@@ -246,18 +246,15 @@ def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list
     # changes the path only by standing in for the target, found by its last hop
     pred = [-1] * count + [None] * count
     pred[source] = source
-    layer = [source]
+    queue = [source]
     try:
-        while layer and pred[target] < 0:
-            discovered = []
-            for w in layer:
-                for x in neighbors[w]:
-                    if pred[x] < 0:
-                        pred[x] = w
-                        discovered.append(x)
-                if pred[target] >= 0:
-                    break
-            layer = discovered
+        for w in queue:  # grows as it is read
+            if pred[target] >= 0:
+                break
+            for x in neighbors[w]:
+                if pred[x] < 0:
+                    pred[x] = w
+                    queue.append(x)
         if pred[target] < 0:
             raise RuntimeError(f"polytope graph is disconnected between {source} and {target}")
         path = [target]

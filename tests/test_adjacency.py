@@ -15,8 +15,8 @@ from polyadj.adjacency import (
     neighbor_lists,
     precompute,
 )
-from polyadj.core import ZeroSet
-from polyadj.generators import cube, prism3, simplex, slack_embed
+from polyadj.core import Polytope, ZeroSet
+from polyadj.generators import bipyramid3, cube, prism3, simplex, slack_embed
 from polyadj.joinmap import JoinMap, build_join_map
 
 CUBE3_EDGES = [
@@ -145,6 +145,16 @@ def test_all_pairs_accepts_precomputed_oracle():
     assert all_pairs_adjacency(p, o) == CUBE3_EDGES
 
 
+def test_all_pairs_refuses_an_oracle_of_another_polytope():
+    # cube(3)'s edges name vertices 6 and 7, which prism3 lacks; bipyramid3's
+    # pairs would run through cube(3)'s combinatorial test
+    for p, q in ((prism3(), cube(3)), (cube(3), bipyramid3())):
+        with pytest.raises(ValueError, match="^oracle was built for a different polytope$"):
+            all_pairs_adjacency(p, precompute(q))
+    c = cube(3)  # equal zero sets answer alike
+    assert all_pairs_adjacency(c, precompute(Polytope(c.A, c.b, c.vertices))) == CUBE3_EDGES
+
+
 def test_neighbor_lists():
     nb = neighbor_lists(8, CUBE3_EDGES)
     assert nb[0] == [1, 2, 4]
@@ -185,11 +195,20 @@ def test_unique_pairs_need_recorded_pairs():
 
 def test_scan_products_need_no_lookup(monkeypatch):
     # simplicity and the edge list come from the count-1 pairs recorded
-    # during the build; only fast_test looks a join up
+    # during the build, read through unique_pairs alone; only fast_test
+    # looks a join up
     def no_lookup(self, s):
         raise AssertionError("lookup called")
 
+    calls = []
+    unique_pairs = JoinMap.unique_pairs
+
+    def counted(self):
+        calls.append(self)
+        return unique_pairs(self)
+
     monkeypatch.setattr(JoinMap, "lookup", no_lookup)
+    monkeypatch.setattr(JoinMap, "unique_pairs", counted)
     for name, d, dim, simple, edge_count in (
         ("cube", 4, 4, True, 32),
         ("truncated_cube", None, 3, True, 15),
@@ -197,9 +216,12 @@ def test_scan_products_need_no_lookup(monkeypatch):
     ):
         h = orc.fixture(name, d)
         p = slack_embed(h)
+        calls.clear()
         o = precompute(p)
+        assert calls == [o.join_map]
         assert (o.dim, o.simple) == (dim, simple)
         edges = all_pairs_adjacency(p, o)
+        assert calls == [o.join_map] * 2
         assert edges == orc.edges(h) and len(edges) == edge_count
         assert all_pairs_adjacency(p) == edges
 

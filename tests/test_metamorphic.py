@@ -62,10 +62,12 @@ def _row_operations(p: Polytope, rng: Random) -> tuple[Polytope, list[int], int]
 def _facts(p: Polytope) -> dict:
     """Every answer but the walks'."""
     facets, oracle = detect_facets(p), precompute(p)
+    edges = all_pairs_adjacency(p, oracle)
+    assert edges == sorted(edges)  # ascending in every vertex order, with no sort
     return {
         "info": (p.n, p.m, p.vertex_count, p.dimension, len(facets), is_simple(p, facets)),
         "facets": {facets[f].vertex_indices for f in range(len(facets))},
-        "edges": set(all_pairs_adjacency(p, oracle)),
+        "edges": set(edges),
         "complementary": set(all_complementary_pairs(p, facets)),
         "tests": {(u, v): (fast_test(oracle, u, v), combinatorial_test(p, u, v),
                            algebraic_test(p, u, v))
