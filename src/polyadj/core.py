@@ -16,8 +16,8 @@ zero tests, ranks and face dimensions are exact; a Polytope holds and
 validates rows and vertices scaled to ints by the lcm of their denominators,
 and builds its ``Fraction`` tuples on first read.  A Polytope, ZeroSet or
 Facet never changes in value once built, so threads may share it for reads.
-Nor does a ``Facets`` catalogue, which only caches its facet counts; an
-``AdjacencyOracle`` can, and so can a ``JoinMap`` until it is frozen.
+Nor does a ``Facets`` catalogue; an ``AdjacencyOracle`` can, and so can a
+``JoinMap`` until it is frozen.
 """
 
 from __future__ import annotations
@@ -446,24 +446,24 @@ class Facets:
     coordinate; it reads like a tuple of facets but takes only an int index.
     Each facet is held as its vertex and coordinate bitmasks, so ``facets[f]``
     is O(k) for its k vertices; ``masks`` is their one transpose: bit f of
-    ``masks[w]`` is set when vertex w lies on facet f.  ``_counts``, the set of
-    per-vertex facet counts, is cached on first read for :func:`is_simple`.
+    ``masks[w]`` is set when vertex w lies on facet f.  ``_count`` is the facet
+    count all vertices share, None when they differ, for :func:`is_simple`.
     Coordinates whose zero locus is no facet are ``non_facet_coordinates``.
+    The catalogue keeps its polytope's zero sets, so that a query refuses it
+    with another polytope whose zero sets differ.
     """
 
     def __init__(self, p: Polytope, groups: dict[int, int], non_facets: Sequence[int]) -> None:
-        self._width = p.n
+        self._width, self._zero_bits = p.n, p._zero_bits
         self._vertex_sets = tuple(groups)
         self._coordinates = tuple(groups.values())
         self.non_facet_coordinates = tuple(non_facets)
         self.masks = _transpose(self._vertex_sets, p.vertex_count)
+        counts = set(map(int.bit_count, self.masks))
+        self._count = counts.pop() if len(counts) == 1 else None
 
     def __len__(self) -> int:
         return len(self._coordinates)
-
-    @cached_property
-    def _counts(self) -> set[int]:
-        return set(map(int.bit_count, self.masks))
 
     def __getitem__(self, i: int) -> Facet:
         f = range(len(self))[operator.index(i)]
@@ -501,21 +501,31 @@ def detect_facets(p: Polytope) -> Facets:
     return Facets(p, groups, non_facets)
 
 
+def _own(p: Polytope, facets: Facets) -> None:
+    """Refuse ``facets`` unless built for ``p`` or a polytope with its zero
+    sets: O(1) for the catalogue of ``p`` itself, O(V) otherwise."""
+    if facets._zero_bits is not p._zero_bits and facets._zero_bits != p._zero_bits:
+        raise ValueError("facet catalogue was built for a different polytope")
+
+
 def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) -> bool:
     """True when vertices u and v lie on no common facet: one AND of their
     facet masks.  Computes the facet catalogue when one is not supplied
-    (pass ``facets`` when calling repeatedly).
+    (pass ``facets`` when calling repeatedly); refuses one built for another
+    polytope.
     """
     _check_pair(p.vertex_count, u, v, "complementarity needs two distinct vertices")
     if facets is None:
         facets = detect_facets(p)
+    _own(p, facets)
     return not facets.masks[u] & facets.masks[v]
 
 
 def is_simple(p: Polytope, facets: Facets | None = None) -> bool:
     """True when every vertex lies on exactly dim P facets.  The catalogue
-    counts each vertex's facets once, so a call is O(1) after the first on it."""
-    d = p.dimension
+    counts its vertices' facets when built, so a call on it is O(1); one
+    built for another polytope is refused."""
     if facets is None:
         facets = detect_facets(p)
-    return facets._counts == {d}
+    _own(p, facets)
+    return facets._count == p.dimension

@@ -14,14 +14,20 @@ between complementary partners it finds one disjoint from the first
 (``disjoint_pairs``).  ``verify_2d_parity`` checks the counting law for
 polytopes with 2d facets: an even number of complementary pairs, all
 pairwise disjoint.
+
+An arc holds its facet set as a mask, listed as ids only when ``facet_set``
+is read, so a walk step builds no more than each arc's head and mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .core import Facets, Polytope, UnsupportedPolytopeError, _check_index, _check_pair, is_simple
+from .core import (
+    Facets, Polytope, UnsupportedPolytopeError, _check_index, _check_pair, _own, is_simple,
+)
 
 __all__ = ["PairArc", "PairKind", "PairNode", "ParityReport", "all_complementary_pairs",
            "arcs_from", "classify_pair", "disjoint_pairs", "pair_node", "second_pair", "to_dot",
@@ -35,8 +41,7 @@ class PairKind(Enum):
     EXCLUDED = "-"             # two or more common facets: not a node
 
 
-@dataclass(frozen=True)
-class PairNode:
+class PairNode(NamedTuple):
     u: int
     v: int
     kind: PairKind
@@ -47,12 +52,16 @@ class PairNode:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class PairArc:
+class PairArc(NamedTuple):
     tail: PairNode
     head: PairNode
     moved_vertex: int  # the tail vertex that was replaced
-    facet_set: frozenset[int]  # facets containing the kept vertex or the moved edge
+    facet_mask: int  # bit f set: facet f holds the kept vertex or the moved edge
+
+    @property
+    def facet_set(self) -> frozenset[int]:
+        """The facet ids set in ``facet_mask``, built on each read."""
+        return Facets.ids(self.facet_mask)
 
 
 def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
@@ -61,8 +70,10 @@ def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
 
 
 def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
-    """Canonical node (u < v) for the pair, of whatever kind."""
+    """Canonical node (u < v) for the pair, of whatever kind; refuses a
+    catalogue built for another polytope."""
     _check_pair(p.vertex_count, u, v, "a pair consists of two distinct vertices")
+    _own(p, facets)
     return _node(min(u, v), max(u, v), facets.masks[u] & facets.masks[v])
 
 
@@ -77,8 +88,8 @@ def _node(u: int, v: int, common: int) -> PairNode:
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:
     """Refuse unless P is simple with dim P > 1; return dim P.  Each public
-    entry point runs this, ``arcs_from`` at every walk step: O(1) after the
-    first run on ``facets``, which caches its facet counts."""
+    entry point runs this, ``arcs_from`` at every walk step: O(1), as
+    ``facets`` holds the facet count its vertices share."""
     d = p.dimension
     if d <= 1:
         raise UnsupportedPolytopeError(f"pair-graph walks need dimension > 1, got {d}")
@@ -104,9 +115,9 @@ def arcs_from(
 
     A complementary node has 2d arcs with pairwise different facet sets; a
     one-common-facet node has exactly 2 arcs with the same facet set.  Facet
-    sets have 2d - 1 elements.  Refuses a polytope that is not simple with
-    dim P > 1, ``neighbors`` without one list per vertex, and an index
-    outside 0..V - 1 before its mask is read.
+    sets have 2d - 1 elements, each held as a mask.  Refuses a polytope that
+    is not simple with dim P > 1, ``neighbors`` without one list per vertex,
+    and an index outside 0..V - 1 before its mask is read.
     """
     _require_walkable(p, facets)
     masks, count = facets.masks, p.vertex_count
@@ -131,13 +142,15 @@ def arcs_from(
                     f"internal invariant violated: move {node.pair} -> {head.pair} "
                     "left the pair graph"
                 )
-            arcs.append(PairArc(node, head, move, facets.ids(m_stay | (m_move & masks[x]))))
+            arcs.append(PairArc(node, head, move, m_stay | (m_move & masks[x])))
     return arcs
 
 
 def all_complementary_pairs(p: Polytope, facets: Facets) -> list[tuple[int, int]]:
     """All pairs sharing no facet, ascending. Works for any polytope;
-    simplicity is not needed for this count."""
+    simplicity is not needed for this count.  Refuses a catalogue built for
+    another polytope."""
+    _own(p, facets)
     masks = facets.masks
     return [(u, v) for u, mu in enumerate(masks) for v in range(u + 1, len(masks))
             if not mu & masks[v]]
@@ -154,17 +167,17 @@ def _walk_forward(
     complementary node appears. A forced walk on a finite graph ends unless
     it repeats a node; a repeat means the forced-forward rule is broken,
     which no valid input can do, so that is reported loudly."""
-    seen = {prev.pair}
+    seen = {prev}
     while cur.kind is not PairKind.COMPLEMENTARY:
         if cur.kind is PairKind.EXCLUDED:
             raise RuntimeError(f"walk reached excluded pair {cur.pair}")
-        if cur.pair in seen:
+        if cur in seen:
             raise RuntimeError(
                 f"walk revisited pair {cur.pair} without reaching a complementary "
                 "pair; forced-forward rule violated"
             )
-        seen.add(cur.pair)
-        onward = [a.head for a in arcs_from(p, facets, neighbors, cur) if a.head.pair != prev.pair]
+        seen.add(cur)
+        onward = [a.head for a in arcs_from(p, facets, neighbors, cur) if a.head != prev]
         if len(onward) != 1:
             raise RuntimeError(
                 f"internal invariant violated: node {cur.pair} has "

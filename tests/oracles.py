@@ -65,12 +65,15 @@ def facet_vertex_sets(h: HPolytope) -> list[frozenset[int]]:
     return sets
 
 
-def minimal_face_vertices(h: HPolytope, u: int, v: int) -> tuple[int, ...]:
+def minimal_face_vertices(h: HPolytope, u: int, v: int, sets=None) -> tuple[int, ...]:
     """Vertices of the smallest face containing u and v: intersect all facets
-    containing both; the whole polytope when no facet does."""
+    containing both; the whole polytope when no facet does.  ``sets`` is
+    ``facet_vertex_sets(h)``, computed here when not passed in."""
+    if sets is None:
+        sets = facet_vertex_sets(h)
     acc = set(range(len(h.vertices)))
     hit = False
-    for fs in facet_vertex_sets(h):
+    for fs in sets:
         if u in fs and v in fs:
             acc &= fs
             hit = True
@@ -79,27 +82,31 @@ def minimal_face_vertices(h: HPolytope, u: int, v: int) -> tuple[int, ...]:
     return tuple(sorted(acc))
 
 
-def adjacent(h: HPolytope, u: int, v: int) -> bool:
-    return minimal_face_vertices(h, u, v) == tuple(sorted((u, v)))
+def adjacent(h: HPolytope, u: int, v: int, sets=None) -> bool:
+    return minimal_face_vertices(h, u, v, sets) == tuple(sorted((u, v)))
 
 
-def complementary(h: HPolytope, u: int, v: int) -> bool:
-    return not any(u in fs and v in fs for fs in facet_vertex_sets(h))
+def complementary(h: HPolytope, u: int, v: int, sets=None) -> bool:
+    if sets is None:
+        sets = facet_vertex_sets(h)
+    return not any(u in fs and v in fs for fs in sets)
 
 
 def edges(h: HPolytope) -> list[tuple[int, int]]:
+    sets = facet_vertex_sets(h)
     return [
         (u, v)
         for u, v in combinations(range(len(h.vertices)), 2)
-        if adjacent(h, u, v)
+        if adjacent(h, u, v, sets)
     ]
 
 
 def complementary_pairs(h: HPolytope) -> list[tuple[int, int]]:
+    sets = facet_vertex_sets(h)
     return [
         (u, v)
         for u, v in combinations(range(len(h.vertices)), 2)
-        if complementary(h, u, v)
+        if complementary(h, u, v, sets)
     ]
 
 

@@ -23,7 +23,7 @@ import oracles as orc
 from polyadj import fileio
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
 from polyadj.core import (
-    Polytope, UnsupportedPolytopeError, ValidationError, detect_facets, is_simple,
+    Facets, Polytope, UnsupportedPolytopeError, ValidationError, detect_facets, is_simple,
 )
 from polyadj.fileio import format_polytope, parse_polytope
 from polyadj.generators import (
@@ -104,6 +104,22 @@ def test_parity_law(embedded):
 def test_arc_counts_on_every_node(embedded):
     f, p, facets, neighbors, to_family, count = embedded
     _check_arcs(p, facets, neighbors)
+
+
+def test_arc_facet_sets_read_off_their_masks(embedded):
+    # each arc's facet set is the facets of its kept vertex and of its moved
+    # edge, listed from the mask the arc holds
+    f, p, facets, neighbors, to_family, count = embedded
+    for u, v in combinations(range(p.vertex_count), 2):
+        node = pair_node(p, facets, u, v)
+        if node.kind is PairKind.EXCLUDED:
+            continue
+        for arc in arcs_from(p, facets, neighbors, node):
+            (stay,) = {u, v} - {arc.moved_vertex}
+            (x,) = set(arc.head.pair) - {stay}
+            want = facets.of_vertex(stay) | (facets.of_vertex(arc.moved_vertex)
+                                             & facets.of_vertex(x))
+            assert arc.facet_set == Facets.ids(arc.facet_mask) == want
 
 
 # start -> (second_pair, second pair of disjoint_pairs), in image labels;

@@ -8,7 +8,9 @@ import pytest
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
-from polyadj.core import Polytope, UnsupportedPolytopeError, detect_facets, is_simple
+from polyadj.core import (
+    Facets, Polytope, UnsupportedPolytopeError, detect_facets, is_complementary, is_simple,
+)
 from polyadj.generators import cube, prism3, simplex, slack_embed
 from polyadj import pairgraph
 from polyadj.pairgraph import (
@@ -94,6 +96,26 @@ def test_complementary_pairs_match_oracle():
         h = orc.fixture(name, d)
         p = slack_embed(h)
         assert all_complementary_pairs(p, detect_facets(p)) == orc.complementary_pairs(h)
+
+
+def test_queries_refuse_a_catalogue_of_another_polytope():
+    # prism3 has 6 vertices, cube(3) 8; cube(3) with its vertex rows reversed
+    # has cube(3)'s size but other zero sets, so each catalogue misnames vertices
+    p = cube(3)
+    reversed_cube = Polytope(p.A, p.b, p.vertices[::-1])
+    for q, facets in ((prism3(), detect_facets(p)), (reversed_cube, detect_facets(p)),
+                      (p, detect_facets(prism3()))):
+        queries = (lambda: is_simple(q, facets), lambda: is_complementary(q, 0, 5, facets),
+                   lambda: pair_node(q, facets, 0, 5), lambda: classify_pair(q, facets, 0, 5),
+                   lambda: all_complementary_pairs(q, facets),
+                   lambda: second_pair(q, facets, [[]] * q.vertex_count, (0, 5)))
+        for query in queries:
+            with pytest.raises(ValueError,
+                               match="^facet catalogue was built for a different polytope$"):
+                query()
+    # a catalogue of an equal polytope built apart is accepted
+    assert is_simple(p, detect_facets(cube(3)))
+    assert all_complementary_pairs(p, detect_facets(cube(3))) == [(0, 7), (1, 6), (2, 5), (3, 4)]
 
 
 # -- arcs ---------------------------------------------------------------------
@@ -185,6 +207,18 @@ def test_arc_symmetry():
                 seen[(a.tail.pair, a.head.pair)] = a.facet_set
         for (tail, head), fs in seen.items():
             assert seen[(head, tail)] == fs
+
+
+def test_arcs_carry_facet_masks_and_nodes_keep_their_repr():
+    p = cube(3)
+    facets, neighbors = graph_inputs(p)
+    node = pair_node(p, facets, 6, 0)
+    assert repr(node) == (
+        "PairNode(u=0, v=6, kind=<PairKind.ALMOST_COMPLEMENTARY: 'B'>, common_facet=2)")
+    assert node == PairNode(0, 6, PairKind.ALMOST_COMPLEMENTARY, 2) and node.pair == (0, 6)
+    arcs = arcs_from(p, facets, neighbors, node)
+    assert [a.facet_mask for a in arcs] == [0b11111, 0b11111]
+    assert all(a.facet_set == Facets.ids(a.facet_mask) for a in arcs)
 
 
 def test_arcs_require_simplicity_and_dimension():
@@ -404,6 +438,26 @@ def test_walks_check_simplicity_once():
         facets.masks = Unscanned(facets.masks)
         assert [walk(p, facets, neighbors, start)
                 for walk in (second_pair, disjoint_pairs) for start in starts] == expected
+
+
+def test_walks_build_no_facet_set(monkeypatch):
+    # a walk reads only each arc's head, so with every facet id set refused
+    # each walk from every complementary start still gives its answer
+    inputs = [(p, *graph_inputs(p))
+              for p in (cube(3), cube(4), slack_embed(orc.fixture("truncated_cube")))]
+
+    def answers():
+        return [walk(p, facets, neighbors, start) for p, facets, neighbors in inputs
+                for start in all_complementary_pairs(p, facets)
+                for walk in (second_pair, disjoint_pairs)]
+
+    expected = answers()
+
+    def refuse(mask):
+        raise AssertionError("a walk built a facet id set")
+
+    monkeypatch.setattr(Facets, "ids", staticmethod(refuse))
+    assert answers() == expected
 
 
 def test_walks_refuse_unsupported_polytopes():

@@ -16,7 +16,7 @@ import pytest
 
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
-from polyadj.core import detect_facets, is_complementary, is_simple
+from polyadj.core import Facets, detect_facets, is_complementary, is_simple
 from polyadj.generators import HPolytope, slack_embed
 from polyadj.pairgraph import all_complementary_pairs, disjoint_pairs, second_pair
 
@@ -118,3 +118,27 @@ def test_walks_from_every_complementary_start(polytopes):
             assert len({*anchor, *other}) == 4
             walks += 1
     assert walks > 0
+
+
+def test_walks_build_no_facet_set(polytopes, monkeypatch):
+    # a walk reads only each arc's head, so with every facet id set refused
+    # each walk from every complementary start still gives its answer
+    inputs = []
+    for h in polytopes:
+        p = slack_embed(h)
+        facets = detect_facets(p)
+        if is_simple(p, facets):
+            inputs.append((p, facets, neighbor_lists(p.vertex_count, all_pairs_adjacency(p))))
+
+    def answers():
+        return [walk(p, facets, neighbors, start) for p, facets, neighbors in inputs
+                for start in all_complementary_pairs(p, facets)
+                for walk in (second_pair, disjoint_pairs)]
+
+    expected = answers()
+
+    def refuse(mask):
+        raise AssertionError("a walk built a facet id set")
+
+    monkeypatch.setattr(Facets, "ids", staticmethod(refuse))
+    assert expected and answers() == expected
