@@ -15,20 +15,21 @@ Inputs and results are exact rationals (:class:`fractions.Fraction`), so
 zero tests, ranks and face dimensions are exact; a Polytope holds and
 validates rows and vertices scaled to ints by the lcm of their denominators,
 and builds its ``Fraction`` tuples on first read.  A Polytope, ZeroSet or
-Facet never changes in value once built, so threads may share it for reads.
-Nor does a ``Facets`` catalogue; an ``AdjacencyOracle`` can, and so can a
-``JoinMap`` until it is frozen.
+Facet never changes in value once built (a ZeroSet refuses assignment to its
+fields; a Facet is a tuple of immutable values), so threads may share it for
+reads.  Nor does a ``Facets`` catalogue; an ``AdjacencyOracle`` can, and so
+can a ``JoinMap`` until it is frozen.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm, log10
+from typing import NamedTuple
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
            "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "face_vertices",
@@ -84,17 +85,52 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int(table[c::width], 2) for c in reversed(range(width))) if rows else (0,) * width
 
 
-@dataclass(frozen=True)
-class ZeroSet:
+class _Frozen:
+    """Base of an immutable record whose fields are the slots its class names in
+    ``__match_args__``, in the order its constructor takes them: compared and
+    hashed by those fields, refusing assignment, and copied or unpickled through
+    the constructor, so its checks rerun."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ZeroSet(_Frozen):
     """Set of coordinate positions (1-based) vanishing on a point or face.
 
     Stored as a bit vector: bit ``i - 1`` of ``bits`` is set when coordinate
     ``i`` is in the set.  ``width`` is the ambient coordinate count; set
-    operations require equal widths.
+    operations require equal widths.  Immutable, and validated by
+    ``__post_init__`` on every construction, a copy or an unpickling included.
     """
 
+    __slots__ = __match_args__ = ("width", "bits")
     width: int
-    bits: int = 0
+    bits: int
+
+    def __init__(self, width: int, bits: int = 0) -> None:
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -426,8 +462,7 @@ def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
         d += 1
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One facet: the coordinates that cut it out and the vertices on it.
 
     Several coordinates may define the same facet; they are merged here, so

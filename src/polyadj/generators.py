@@ -13,32 +13,40 @@ generated polytope are sorted lexicographically so outputs are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .core import (Polytope, ValidationError, _bareiss, _integral_rows, _shaped, _shown,
+from .core import (Polytope, ValidationError, _bareiss, _Frozen, _integral_rows, _shaped, _shown,
                    detect_facets, rank)
 
 __all__ = ["HPolytope", "bipyramid3", "cube", "prism3", "simplex", "slack_embed",
            "truncated_cube"]
 
 
-@dataclass(frozen=True)
-class HPolytope:
-    """Facet inequalities ``normals[j] . x <= offsets[j]`` plus vertex list,
-    shape-checked as ``Polytope``'s are (rows "inequality", right-hand side "offsets")."""
+class HPolytope(_Frozen):
+    """Facet inequalities ``normals[j] . x <= offsets[j]`` plus vertex list, held
+    as ``Fraction`` tuples and shape-checked as ``Polytope``'s are (rows
+    "inequality", right-hand side "offsets").  Immutable, and checked on every
+    construction, a copy or an unpickling included."""
 
+    __slots__ = __match_args__ = ("normals", "offsets", "vertices")
     normals: tuple[tuple[Fraction, ...], ...]
     offsets: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        vs, rows, rhs = _shaped(self.vertices, self.normals, self.offsets, "inequality", "offsets")
+    def __init__(self, normals: Iterable[Iterable[Fraction | int | str]],
+                 offsets: Iterable[Fraction | int | str],
+                 vertices: Iterable[Iterable[Fraction | int | str]]) -> None:
+        vs, rows, rhs = _shaped(vertices, normals, offsets, "inequality", "offsets")
         object.__setattr__(self, "normals", rows)
         object.__setattr__(self, "offsets", rhs)
         object.__setattr__(self, "vertices", vs)
+
+    def __repr__(self) -> str:
+        return (f"HPolytope(normals={self.normals!r}, offsets={self.offsets!r}, "
+                f"vertices={self.vertices!r})")
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,6 @@ is read, so a walk step builds no more than each arc's head and mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -282,8 +281,7 @@ def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list
     return path[::-1]
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     facet_count: int
     pair_count: int
     even: bool

@@ -81,3 +81,19 @@ def test_runs_on_the_standard_library_alone():
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "n 6\nm 3\nvertices 8\ndim 3\nfacets 6\nsimple yes\n[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses and inspect were most of the CLI's import time; only what
+    # polyadj loads counts, after the standard-library modules the CLI needs
+    src = Path(polyadj.__file__).resolve().parents[1]
+    code = f"""if True:
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        import argparse, enum, fractions, re, typing
+        before = set(sys.modules)
+        import polyadj.cli
+        print(sorted({{"dataclasses", "inspect"}} & (set(sys.modules) - before)))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
