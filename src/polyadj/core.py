@@ -119,8 +119,9 @@ class ZeroSet(_Frozen):
 
     Stored as a bit vector: bit ``i - 1`` of ``bits`` is set when coordinate
     ``i`` is in the set.  ``width`` is the ambient coordinate count; set
-    operations require equal widths.  Immutable, and validated by
-    ``__post_init__`` on every construction, a copy or an unpickling included.
+    operations require equal widths.  Both fields are plain ints.  Immutable,
+    and validated by ``__post_init__`` on every construction, a copy or an
+    unpickling included.
     """
 
     __slots__ = __match_args__ = ("width", "bits")
@@ -133,6 +134,9 @@ class ZeroSet(_Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        for name, value in (("width", self.width), ("bits", self.bits)):
+            if type(value) is not int:  # refuses bool and other int subclasses too
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if self.width < 0:
             raise ValueError(f"width must be nonnegative, got {self.width}")
         if not 0 <= self.bits < (1 << self.width):

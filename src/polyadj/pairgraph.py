@@ -148,11 +148,25 @@ def arcs_from(
 def all_complementary_pairs(p: Polytope, facets: Facets) -> list[tuple[int, int]]:
     """All pairs sharing no facet, ascending. Works for any polytope;
     simplicity is not needed for this count.  Refuses a catalogue built for
-    another polytope."""
+    another polytope.  No pair scan: u's partners are the vertices outside
+    its facets' vertex sets, so the cost is sum_v |facets(v)| ORs of V-bit
+    ints (V d on a simple d-polytope) plus one step per pair."""
     _own(p, facets)
-    masks = facets.masks
-    return [(u, v) for u, mu in enumerate(masks) for v in range(u + 1, len(masks))
-            if not mu & masks[v]]
+    vertex_sets, full, pairs = facets._vertex_sets, (1 << p.vertex_count) - 1, []
+    # both bit sets are walked by inline low-bit loops: with the core._bits
+    # generator this is slower than a pair scan on bipyramid3 x cube(4)
+    for u, mu in enumerate(facets.masks):
+        shared = 0
+        while mu:
+            low = mu & -mu
+            shared |= vertex_sets[low.bit_length() - 1]
+            mu ^= low
+        rest = (full & ~shared) >> (u + 1)  # bit k: vertex u + 1 + k
+        while rest:
+            low = rest & -rest
+            pairs.append((u, u + low.bit_length()))
+            rest ^= low
+    return pairs
 
 
 def _walk_forward(

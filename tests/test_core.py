@@ -649,3 +649,17 @@ def test_face_queries_need_no_zero_set_scan(monkeypatch):
             join = p.zero_sets[u] & p.zero_sets[v]
             assert face_vertices(p, join) == list(orc.minimal_face_vertices(h, u, v))
             assert combinatorial_test(p, u, v) == orc.adjacent(h, u, v)
+
+
+# -- complementary pairs ------------------------------------------------------
+
+
+def test_complementary_pairs_are_their_definition_on_the_fixtures():
+    # as lists, so the order counts: every pair u < v whose facet masks meet nowhere
+    for p in [POINT, interval_with_dead_coordinate(), interval_with_duplicate_coordinate(),
+              *face_fixtures()]:
+        facets = detect_facets(p)
+        masks = facets.masks
+        want = [(u, v) for u, v in combinations(range(p.vertex_count), 2)
+                if not masks[u] & masks[v]]
+        assert all_complementary_pairs(p, facets) == want

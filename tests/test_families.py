@@ -101,6 +101,14 @@ def test_parity_law(embedded):
     assert report.even and report.pairwise_disjoint
 
 
+def test_complementary_pairs_are_their_definition(embedded):
+    # as lists, so the order counts: every pair u < v whose facet masks meet nowhere
+    f, p, facets, neighbors, to_family, count = embedded
+    masks = facets.masks
+    want = [(u, v) for u, v in combinations(range(p.vertex_count), 2) if not masks[u] & masks[v]]
+    assert all_complementary_pairs(p, facets) == want
+
+
 def test_arc_counts_on_every_node(embedded):
     f, p, facets, neighbors, to_family, count = embedded
     _check_arcs(p, facets, neighbors)

@@ -98,6 +98,32 @@ def test_complementary_pairs_match_oracle():
         assert all_complementary_pairs(p, detect_facets(p)) == orc.complementary_pairs(h)
 
 
+def test_cube9_complementary_pairs_are_pinned():
+    p = cube(9)
+    assert all_complementary_pairs(p, detect_facets(p)) == [(k, 511 - k) for k in range(256)]
+
+
+class _Unindexable:
+    """Iterates over ``items`` but refuses indexing."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+def test_complementary_pairs_read_each_facet_mask_once_in_order(monkeypatch):
+    # partners come from each vertex's own facets, so the facet masks are only
+    # iterated; a scan over pairs indexes them and fails here
+    p = cube(4)
+    facets = detect_facets(p)
+    masks = facets.masks
+    want = [(u, v) for u, v in combinations(range(p.vertex_count), 2) if not masks[u] & masks[v]]
+    monkeypatch.setattr(facets, "masks", _Unindexable(masks))
+    assert all_complementary_pairs(p, facets) == want == [(k, 15 - k) for k in range(8)]
+
+
 def test_queries_refuse_a_catalogue_of_another_polytope():
     # prism3 has 6 vertices, cube(3) 8; cube(3) with its vertex rows reversed
     # has cube(3)'s size but other zero sets, so each catalogue misnames vertices

@@ -102,6 +102,17 @@ def test_answers_match_the_oracles(polytopes):
     assert simple_count >= COUNT // 2
 
 
+def test_complementary_pairs_are_their_definition(polytopes):
+    # as lists, so the order counts: every pair u < v whose facet masks meet nowhere
+    for h in polytopes:
+        p = slack_embed(h)
+        facets = detect_facets(p)
+        masks = facets.masks
+        want = [(u, v) for u, v in combinations(range(p.vertex_count), 2)
+                if not masks[u] & masks[v]]
+        assert all_complementary_pairs(p, facets) == want
+
+
 def test_walks_from_every_complementary_start(polytopes):
     walks = 0
     for h in polytopes:

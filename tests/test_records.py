@@ -130,6 +130,29 @@ def test_every_route_refuses_what_the_constructor_refuses():
             pickle.loads(pickle.dumps(Forged(HPolytope, args)))
 
 
+def test_zero_set_fields_must_be_plain_ints():
+    # a float, bool or Fraction equal to an int is refused by field name, by
+    # every construction route; before, ZeroSet(2, 1.0) equalled ZeroSet(2, 1)
+    # and then failed in repr and len
+    for bad in (1.0, True, Fraction(1)):
+        for args, name in (((bad, 1), "width"), ((2, bad), "bits")):
+            message = f"^{name} must be an int, got {type(bad).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                ZeroSet(*args)
+            with pytest.raises(TypeError, match=message):
+                ZeroSet(**dict(zip(FIELDS[0], args)))
+            with pytest.raises(TypeError, match=message):
+                pickle.loads(pickle.dumps(Forged(ZeroSet, args)))
+    # ints out of range keep their messages
+    for args, message in (((-1, 0), "width must be nonnegative, got -1"),
+                          ((2, 4), "bits 0x4 out of range for width 2"),
+                          ((2, -1), "bits 0x-1 out of range for width 2"),
+                          ((0, 1), "bits 0x1 out of range for width 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ZeroSet(*args)
+    assert repr(ZeroSet(2, 1)) == "ZeroSet({1}, width=2)" and len(ZeroSet(2, 1)) == 1
+
+
 def test_copies_and_unpickling_run_the_constructor_checks(monkeypatch):
     # so a copy is as checked as the record it copies; fails where a copy
     # restores the fields without the constructor
