@@ -17,8 +17,8 @@ validates rows and vertices scaled to ints by the lcm of their denominators,
 and builds its ``Fraction`` tuples on first read.  A Polytope, ZeroSet or
 Facet never changes in value once built (a ZeroSet refuses assignment to its
 fields; a Facet is a tuple of immutable values), so threads may share it for
-reads.  Nor does a ``Facets`` catalogue; an ``AdjacencyOracle`` can, and so
-can a ``JoinMap`` until it is frozen.
+reads.  Nor does a ``Facets`` catalogue, nor a ``JoinMap`` that
+``build_join_map`` returns (it takes no increments); an ``AdjacencyOracle`` can.
 """
 
 from __future__ import annotations

@@ -35,17 +35,19 @@ class JoinMap:
     ``depth`` is the coordinate count n; every stored subset must have that
     width.  ``pair_total`` is the sum of all stored counts, ``leaf_count``
     the number of distinct subsets and ``node_count`` the number of nodes of
-    the trie that would hold them.
+    the trie that would hold them.  A map that :func:`build_join_map`
+    returns records each join's first pair and takes no increments.
     """
 
     def __init__(self, depth: int) -> None:
+        if type(depth) is not int:  # refuses bool and other int subclasses too
+            raise TypeError(f"depth must be an int, got {type(depth).__name__}")
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, got {depth}")
         self.depth = depth
         # bits -> [count, u, v]: (u, v) the first pair joined to bits, or None
         self._joins: dict[int, list] = {}
-        self._pairs_recorded = False
-        self._frozen = False
+        self._scanned = False  # set by build_join_map alone: every entry has its pair
 
     def _check(self, s: ZeroSet) -> None:
         if s.width != self.depth:
@@ -53,8 +55,8 @@ class JoinMap:
 
     def increment(self, s: ZeroSet) -> None:
         """Add one occurrence of ``s``, with no vertex pair recorded."""
-        if self._frozen:
-            raise RuntimeError("join map is frozen")
+        if self._scanned:
+            raise RuntimeError("a join map built by build_join_map takes no increments")
         self._check(s)
         self._joins.setdefault(s.bits, [0, None, None])[0] += 1
 
@@ -66,14 +68,6 @@ class JoinMap:
             s = s.bits
         entry = self._joins.get(s)
         return entry[0] if entry else 0
-
-    def probe(self, s: ZeroSet) -> tuple[int, int]:
-        """Count for ``s`` plus the number of trie nodes a walk from the root
-        visits; O(leaf_count) when ``s`` is absent."""
-        count = self.lookup(s)
-        if count:
-            return count, self.depth + 1
-        return 0, max((_parting_depth(s.bits, bits) for bits in self._joins), default=-1) + 1
 
     @property
     def pair_total(self) -> int:
@@ -96,17 +90,9 @@ class JoinMap:
         On a simple polytope these are exactly its edges.  No sort: only
         :func:`build_join_map` records pairs, scanning them in ascending order
         and filing each join at its first, so a count-1 join's pair is in order."""
-        if not self._pairs_recorded:
+        if not self._scanned:
             raise ValueError("join map was filled through increment and records no vertex pairs")
         return [(u, v) for count, u, v in self._joins.values() if count == 1]
-
-    def freeze(self) -> None:
-        """Disallow further increments; reads stay safe under concurrency."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def _trie_order(self) -> list[int]:
         # depth-first, absent branch first: ascending by the bits read from
@@ -135,7 +121,7 @@ class JoinMap:
 
 
 def build_join_map(p: Polytope) -> JoinMap:
-    """Scan all vertex pairs of ``p`` once and return the frozen join map.
+    """Scan all vertex pairs of ``p`` once into a map that takes no increments.
 
     O(n V^2): one O(n) intersection and one dict update per pair.
     """
@@ -150,6 +136,5 @@ def build_join_map(p: Polytope) -> JoinMap:
                 joins[key] = [1, u, v]
             else:
                 entry[0] += 1
-    jm._pairs_recorded = True
-    jm.freeze()
+    jm._scanned = True
     return jm

@@ -1,4 +1,4 @@
-"""Trie semantics: counts, node budget, instrumented lookups, golden dump."""
+"""Trie semantics: counts, node budget, lookups, golden dump, the built map's write guard."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,30 +68,17 @@ def test_first_insert_allocates_full_path():
     assert jm.node_count == 8  # shares root..depth-3, adds a depth-4 node and leaf
 
 
-def test_probe_visit_budget():
-    jm = figure_map()
-    for indices in FIGURE_COUNTS:
-        count, visited = jm.probe(ZeroSet.of_indices(3, indices))
-        assert count == FIGURE_COUNTS[indices]
-        assert visited == 4  # full path: n + 1 nodes
-    # absent branch exits early
-    count, visited = jm.probe(ZeroSet.of_indices(3, (1,)))
-    assert count == 0
-    assert visited < 4
-
-
 def test_lookup_never_allocates():
     jm = figure_map()
     before = jm.node_count
     jm.lookup(ZeroSet.of_indices(3, (1, 3)))
-    jm.probe(ZeroSet(3, 0))
+    jm.lookup(ZeroSet(3, 0))
     assert jm.node_count == before
 
 
 def test_empty_map():
     jm = JoinMap(4)
     assert jm.lookup(ZeroSet(4, 0)) == 0
-    assert jm.probe(ZeroSet.of_indices(4, (1, 2))) == (0, 0)
     assert jm.dump() == "(empty)"
     assert list(jm.items()) == []
 
@@ -104,6 +91,16 @@ def test_width_and_depth_errors():
         jm.lookup(ZeroSet(2, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         JoinMap(-1)
+
+
+def test_depth_must_be_a_plain_int():
+    for depth, name in ((2.0, "float"), (True, "bool"), ("3", "str")):
+        with pytest.raises(TypeError) as err:
+            JoinMap(depth)
+        assert str(err.value) == f"depth must be an int, got {name}"
+    with pytest.raises(ValueError) as err:
+        JoinMap(-1)
+    assert str(err.value) == "depth must be nonnegative, got -1"
 
 
 def test_lookup_takes_raw_bits():
@@ -120,19 +117,26 @@ def test_lookup_takes_raw_bits():
         assert str(err.value) == f"zero set width {p.n + 1} does not match depth {p.n}"
 
 
-def test_freeze_blocks_writes():
-    jm = figure_map()
-    jm.freeze()
-    assert jm.frozen
-    with pytest.raises(RuntimeError, match="frozen"):
-        jm.increment(ZeroSet(3, 0))
-    assert jm.lookup(ZeroSet.of_indices(3, (2,))) == 7
+def test_built_map_takes_no_increments():
+    for p in (cube(3), prism3()):
+        jm = build_join_map(p)
+        pairs, total = jm.unique_pairs(), jm.pair_total
+        counts = {bits: jm.lookup(bits) for bits in range(1 << p.n)}
+        stored = next(z for z, _ in jm.items())
+        absent = next(bits for bits, count in counts.items() if count == 0)
+        for z in (stored, ZeroSet(p.n, absent)):
+            with pytest.raises(RuntimeError) as err:
+                jm.increment(z)
+            assert str(err.value) == "a join map built by build_join_map takes no increments"
+        assert jm.unique_pairs() == pairs
+        assert all(None not in pair for pair in jm.unique_pairs())
+        assert jm.pair_total == total
+        assert {bits: jm.lookup(bits) for bits in range(1 << p.n)} == counts
 
 
 def test_build_join_map_cube3():
     p = cube(3)
     jm = build_join_map(p)
-    assert jm.frozen
     assert jm.pair_total == 28  # C(8, 2)
     assert sum(c for _, c in jm.items()) == 28
     # no common zero coordinate: exactly the 4 antipodal pairs
@@ -171,7 +175,5 @@ def test_trie_agrees_with_flat_dict(case):
     assert jm.leaf_count == len(flat)
     assert jm.node_count <= (n + 1) * max(len(flat), 0)
     for bits in range(2**n):
-        count, visited = jm.probe(ZeroSet(n, bits))
-        assert count == flat.get(bits, 0)
-        assert visited <= n + 1
+        assert jm.lookup(ZeroSet(n, bits)) == flat.get(bits, 0)
     assert {z.bits: c for z, c in jm.items()} == flat
