@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import core
-from .core import Polytope, _bits, _check_pair, _face
+from .core import Polytope, _bits, _check_pair, _face, _meet
 from .joinmap import JoinMap, build_join_map
 
 __all__ = ["AdjacencyOracle", "Verdict", "algebraic_test", "all_pairs_adjacency",
@@ -23,6 +23,10 @@ class Verdict(Enum):
     ADJACENT = "adjacent"
     NON_ADJACENT = "non-adjacent"
     INDETERMINATE = "indeterminate"
+
+
+# bound once: on 3.11 a member read through the class goes through EnumType.__getattr__
+_ADJACENT, _NON_ADJACENT, _INDETERMINATE = Verdict
 
 
 class AdjacencyOracle:
@@ -73,11 +77,12 @@ def fast_verdict(oracle: AdjacencyOracle, u: int, v: int) -> tuple[Verdict, int]
     sound NON_ADJACENT.
     """
     bits = oracle.polytope._zero_bits
-    _check_pair(len(bits), u, v, "adjacency needs two distinct vertices")
+    if not (0 <= u < len(bits) and 0 <= v < len(bits) and u != v):
+        _check_pair(len(bits), u, v, "adjacency needs two distinct vertices")
     c = oracle.join_map.lookup(bits[u] & bits[v])
     if c == 1:
-        return (Verdict.ADJACENT if oracle.simple else Verdict.INDETERMINATE), c
-    return Verdict.NON_ADJACENT, c
+        return (_ADJACENT if oracle.simple else _INDETERMINATE), c
+    return _NON_ADJACENT, c
 
 
 def fast_test(oracle: AdjacencyOracle, u: int, v: int) -> Verdict:
@@ -89,7 +94,8 @@ def combinatorial_test(p: Polytope, u: int, v: int) -> bool:
     """Exact for all polytopes: u, v are adjacent when no third vertex lies
     on the smallest face containing both, which always holds u and v.  That
     face is an AND of the coordinate-face bitmasks of their common zeros:
-    O(n) operations on V-bit ints."""
+    O(n) operations on V-bit ints, by the face kernel ``core._meet`` that
+    :func:`all_pairs_adjacency` runs on its count-1 pairs too."""
     _check_pair(p.vertex_count, u, v, "adjacency needs two distinct vertices")
     return _face(p, p._zero_bits[u] & p._zero_bits[v]).bit_count() == 2
 
@@ -108,7 +114,8 @@ def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> l
     """Edge list of the polytope graph, ascending, exact for all polytopes.
 
     Only pairs alone on their join can be edges: all are on a simple polytope,
-    else each is settled combinatorially.  Refuses an oracle of other zero sets.
+    else each is settled by the face kernel of :func:`combinatorial_test`, with
+    the faces read once for all pairs.  Refuses an oracle of other zero sets.
     """
     if oracle is None:
         oracle = precompute(p)
@@ -117,7 +124,9 @@ def all_pairs_adjacency(p: Polytope, oracle: AdjacencyOracle | None = None) -> l
     pairs = oracle.join_map.unique_pairs()
     if oracle.simple:
         return pairs
-    return [(u, v) for u, v in pairs if combinatorial_test(p, u, v)]
+    zs = p._zero_bits
+    faces, full = p.coordinate_faces, (1 << len(zs)) - 1
+    return [(u, v) for u, v in pairs if _meet(faces, full, zs[u] & zs[v]).bit_count() == 2]
 
 
 def neighbor_lists(vertex_count: int, edges: list[tuple[int, int]]) -> list[list[int]]:

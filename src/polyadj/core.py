@@ -421,13 +421,18 @@ class Polytope:
         return f"Polytope(n={self.n}, m={self.m}, vertices={self.vertex_count})"
 
 
+def _meet(faces: Sequence[int], verts: int, bits: int) -> int:
+    """``verts`` ANDed with ``faces[i]`` for every bit i set in ``bits``: the face kernel."""
+    while bits:
+        low = bits & -bits
+        verts &= faces[low.bit_length() - 1]
+        bits ^= low
+    return verts
+
+
 def _face(p: Polytope, bits: int) -> int:
     """Vertex bitmask of the face where the coordinates set in ``bits`` vanish; no width check."""
-    faces = p.coordinate_faces
-    verts = (1 << p.vertex_count) - 1
-    for i in _bits(bits):
-        verts &= faces[i]
-    return verts
+    return _meet(p.coordinate_faces, (1 << len(p._zero_bits)) - 1, bits)
 
 
 def _zero_face(p: Polytope, s: ZeroSet) -> int:

@@ -61,9 +61,11 @@ class JoinMap:
         self._joins.setdefault(s.bits, [0, None, None])[0] += 1
 
     def lookup(self, s: ZeroSet | int) -> int:
-        """Count of pairs stored under exactly ``s`` (0 when absent); ``s`` may
-        be the raw ``bits`` of a subset, which are taken without a width check."""
+        """Count of pairs stored under exactly ``s`` (0 when absent): a ``ZeroSet``,
+        or its raw ``bits`` as a plain ``int``, taken without a width check."""
         if type(s) is not int:
+            if not isinstance(s, ZeroSet):
+                raise TypeError(f"lookup takes an int or a ZeroSet, got {type(s).__name__}")
             self._check(s)
             s = s.bits
         entry = self._joins.get(s)

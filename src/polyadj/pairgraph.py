@@ -40,6 +40,10 @@ class PairKind(Enum):
     EXCLUDED = "-"             # two or more common facets: not a node
 
 
+# bound once: a walk step reads them often, and a read through the class is slow
+_COMPLEMENTARY, _ALMOST, _EXCLUDED = PairKind
+
+
 class PairNode(NamedTuple):
     u: int
     v: int
@@ -79,10 +83,10 @@ def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
 def _node(u: int, v: int, common: int) -> PairNode:
     """Node of the pair u < v whose vertices share the facets set in ``common``."""
     if not common:
-        return PairNode(u, v, PairKind.COMPLEMENTARY, None)
+        return PairNode(u, v, _COMPLEMENTARY, None)
     if common & (common - 1):
-        return PairNode(u, v, PairKind.EXCLUDED, None)
-    return PairNode(u, v, PairKind.ALMOST_COMPLEMENTARY, common.bit_length() - 1)
+        return PairNode(u, v, _EXCLUDED, None)
+    return PairNode(u, v, _ALMOST, common.bit_length() - 1)
 
 
 def _require_walkable(p: Polytope, facets: Facets) -> int:
@@ -121,7 +125,7 @@ def arcs_from(
     _require_walkable(p, facets)
     masks, count = facets.masks, p.vertex_count
     _check_neighbors(count, neighbors)
-    if node.kind is PairKind.EXCLUDED:
+    if node.kind is _EXCLUDED:
         raise ValueError(f"pair {node.pair} shares more than one facet")
     if not (0 <= node.u < count and 0 <= node.v < count):  # a bare PairNode is unchecked
         _check_index(count, node.u, node.v)
@@ -136,7 +140,7 @@ def arcs_from(
             if x == stay or m_stay & m_move & masks[x]:
                 continue
             head = _node(min(stay, x), max(stay, x), m_stay & masks[x])
-            if head.kind is PairKind.EXCLUDED:
+            if head.kind is _EXCLUDED:
                 raise RuntimeError(
                     f"internal invariant violated: move {node.pair} -> {head.pair} "
                     "left the pair graph"
@@ -181,8 +185,8 @@ def _walk_forward(
     it repeats a node; a repeat means the forced-forward rule is broken,
     which no valid input can do, so that is reported loudly."""
     seen = {prev}
-    while cur.kind is not PairKind.COMPLEMENTARY:
-        if cur.kind is PairKind.EXCLUDED:
+    while cur.kind is not _COMPLEMENTARY:
+        if cur.kind is _EXCLUDED:
             raise RuntimeError(f"walk reached excluded pair {cur.pair}")
         if cur in seen:
             raise RuntimeError(
@@ -209,7 +213,7 @@ def _complementary_start(
     _check_neighbors(p.vertex_count, neighbors)
     u, v = sorted(start)
     node = pair_node(p, facets, u, v)
-    if node.kind is not PairKind.COMPLEMENTARY:
+    if node.kind is not _COMPLEMENTARY:
         raise ValueError(f"pair {node.pair} is not complementary")
     return node
 
@@ -329,7 +333,7 @@ def to_dot(p: Polytope, facets: Facets, neighbors: list[list[int]]) -> str:
     labeled with their facet-set ids. For inspection and golden tests."""
     _require_walkable(p, facets)
     nodes = [node for u in range(p.vertex_count) for v in range(u + 1, p.vertex_count)
-             if (node := pair_node(p, facets, u, v)).kind is not PairKind.EXCLUDED]
+             if (node := pair_node(p, facets, u, v)).kind is not _EXCLUDED]
     lines = ["graph pairs {"]
     for node in nodes:
         lines.append(f'  "{node.u},{node.v}" [label="{node.u},{node.v}:{node.kind.value}"];')

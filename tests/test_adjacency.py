@@ -276,3 +276,42 @@ def test_oracle_reads_one_polytope():
         assert fast_verdict(o, u, v) == fast_verdict(other, u, v)
     with pytest.raises(ValueError, match=r"vertex index 6 out of range 0\.\.5"):
         fast_verdict(o, 0, 6)
+
+
+def _product_edges(p_edges, p_count, q_edges, q_count):
+    """Edges of P x Q, vertex i * |V_Q| + j the pair (i, j): j moves along a
+    Q edge with i kept, or i along a P edge with j kept."""
+    edges = {(i * q_count + j, i * q_count + k) for i in range(p_count) for j, k in q_edges}
+    edges |= {(i * q_count + j, k * q_count + j) for i, k in p_edges for j in range(q_count)}
+    return sorted(edges)
+
+
+def test_edge_list_settles_count1_pairs_as_the_combinatorial_test():
+    cases = [(slack_embed(orc.fixture(name)), orc.edges(orc.fixture(name)))
+             for name in ("bipyramid3", "bipyramid_simplex4")]
+    base = orc.fixture("bipyramid3")
+    for k in (2, 3):
+        q = cube(k)
+        want = _product_edges(orc.edges(base), len(base.vertices),
+                              orc.edges(orc.fixture("cube", k)), q.vertex_count)
+        cases.append((orc.product_polytope(slack_embed(base), q), want))
+    for p, want in cases:
+        o = precompute(p)
+        assert not o.simple
+        edges = all_pairs_adjacency(p, o)
+        assert edges == [pair for pair in o.join_map.unique_pairs() if combinatorial_test(p, *pair)]
+        assert edges == want
+
+
+def test_edge_list_agrees_with_the_combinatorial_test_off_contract():
+    # vertex lists the contract excludes (an extra edge midpoint, a missing
+    # vertex): whatever the edges come to, each pair is settled as the
+    # combinatorial test settles it
+    c = cube(3)
+    midpoint = tuple((x + y) / 2 for x, y in zip(c.vertices[0], c.vertices[1]))
+    for vertices in ([*c.vertices, midpoint], c.vertices[:-1]):
+        p = Polytope(c.A, c.b, vertices)
+        assert not precompute(p).simple
+        edges = set(all_pairs_adjacency(p))
+        for u, v in combinations(range(p.vertex_count), 2):
+            assert ((u, v) in edges) == combinatorial_test(p, u, v), (len(vertices), u, v)

@@ -16,6 +16,7 @@ from polyadj.core import (
     Polytope,
     ValidationError,
     ZeroSet,
+    _meet,
     _shown,
     _transpose,
     as_fraction,
@@ -663,3 +664,9 @@ def test_complementary_pairs_are_their_definition_on_the_fixtures():
         want = [(u, v) for u, v in combinations(range(p.vertex_count), 2)
                 if not masks[u] & masks[v]]
         assert all_complementary_pairs(p, facets) == want
+
+
+def test_meet_of_no_coordinates_is_its_start():
+    faces = cube(3).coordinate_faces
+    for verts in (0, 1, 0b1011_0110, 0xFF):
+        assert _meet(faces, verts, 0) == verts

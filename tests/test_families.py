@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from polyadj import fileio
-from polyadj.adjacency import all_pairs_adjacency, neighbor_lists, precompute
+from polyadj.adjacency import all_pairs_adjacency, combinatorial_test, neighbor_lists, precompute
 from polyadj.core import (
     Facets, Polytope, UnsupportedPolytopeError, ValidationError, detect_facets, is_simple,
 )
@@ -213,6 +213,18 @@ def test_non_simple_products_take_the_fallback(k):
             walk(p, facets, neighbors, pairs[0])
     with pytest.raises(UnsupportedPolytopeError, match="simple"):
         verify_2d_parity(p, facets)
+
+
+def test_cross_polytope_edges_are_the_family_edges():
+    # cross(5): each vertex on 16 of the 32 facets, so every edge is settled
+    # by the face kernel
+    f = wl.cross_polytope(5)
+    p, to_family = _embed(f)
+    o = precompute(p)
+    assert not o.simple
+    edges = all_pairs_adjacency(p, o)
+    assert edges == [pair for pair in o.join_map.unique_pairs() if combinatorial_test(p, *pair)]
+    assert _relabel(edges, to_family) == f.edges
 
 
 def _simplex(a):

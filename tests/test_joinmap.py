@@ -177,3 +177,11 @@ def test_trie_agrees_with_flat_dict(case):
     for bits in range(2**n):
         assert jm.lookup(ZeroSet(n, bits)) == flat.get(bits, 0)
     assert {z.bits: c for z, c in jm.items()} == flat
+
+
+@pytest.mark.parametrize("key", [1.0, True, "3"])
+def test_lookup_refuses_a_key_of_another_type(key):
+    jm = build_join_map(cube(3))
+    with pytest.raises(TypeError,
+                       match=f"^lookup takes an int or a ZeroSet, got {type(key).__name__}$"):
+        jm.lookup(key)
