@@ -20,6 +20,9 @@ __all__ = ["AdjacencyOracle", "Verdict", "algebraic_test", "all_pairs_adjacency"
 
 
 class Verdict(Enum):
+    """Answer of the fast test: ADJACENT, NON_ADJACENT, or INDETERMINATE when
+    a pair count of 1 on a polytope that is not simple cannot certify an edge."""
+
     ADJACENT = "adjacent"
     NON_ADJACENT = "non-adjacent"
     INDETERMINATE = "indeterminate"

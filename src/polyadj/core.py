@@ -32,8 +32,8 @@ from math import gcd, lcm, log10
 from typing import NamedTuple
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
-           "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "face_vertices",
-           "is_complementary", "is_simple", "rank"]
+           "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "is_complementary",
+           "is_simple", "rank"]
 
 
 class ValidationError(ValueError):
@@ -160,12 +160,16 @@ class ZeroSet(_Frozen):
         return cls(width, bits)
 
     def __and__(self, other: "ZeroSet") -> "ZeroSet":
+        if not isinstance(other, ZeroSet):  # Python then raises its own TypeError
+            return NotImplemented
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
         return ZeroSet(self.width, self.bits & other.bits)
 
-    def __contains__(self, index: int) -> bool:
-        return 1 <= index <= self.width and bool(self.bits >> (index - 1) & 1)
+    def __contains__(self, index: object) -> bool:
+        """False for anything but an int in 1..width, as ``range`` answers 2.5."""
+        return (isinstance(index, int) and 1 <= index <= self.width
+                and bool(self.bits >> (index - 1) & 1))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -435,22 +439,6 @@ def _face(p: Polytope, bits: int) -> int:
     return _meet(p.coordinate_faces, (1 << len(p._zero_bits)) - 1, bits)
 
 
-def _zero_face(p: Polytope, s: ZeroSet) -> int:
-    """:func:`_face` of ``s``, refused unless ``s`` has P's width."""
-    if s.width != p.n:
-        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
-    return _face(p, s.bits)
-
-
-def face_vertices(p: Polytope, s: ZeroSet) -> list[int]:
-    """Indices of vertices on the face where every coordinate in ``s`` vanishes.
-
-    Ascending order. Empty when no vertex satisfies ``s``.  An AND of the
-    coordinate faces of the |s| coordinates in ``s``, then O(k) for k vertices.
-    """
-    return list(_bits(_zero_face(p, s)))
-
-
 def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     """Dimension of the face selected by ``s``, None for the empty face, with
     no rank: the steps from the face down to a vertex, each to a largest
@@ -458,8 +446,10 @@ def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     is a facet of the face, so each step drops the dimension by one.  O(d n)
     operations on V-bit ints.  Exact when the vertex list is correct and
     complete; on an incomplete list it can fall below the affine rank of the
-    face's points, never above it."""
-    face = _zero_face(p, s)
+    face's points, never above it.  Refuses ``s`` unless it has P's width."""
+    if s.width != p.n:
+        raise ValueError(f"zero set width {s.width} does not match n={p.n}")
+    face = _face(p, s.bits)
     if not face:
         return None
     d = 0
@@ -518,11 +508,6 @@ class Facets:
     def ids(mask: int) -> frozenset[int]:
         """Facet ids of the bits set in ``mask``: O(popcount)."""
         return frozenset(_bits(mask))
-
-    def of_vertex(self, vertex_index: int) -> frozenset[int]:
-        """Ids of the facets containing the given vertex."""
-        _check_index(len(self.masks), vertex_index)
-        return self.ids(self.masks[vertex_index])
 
 
 def detect_facets(p: Polytope) -> Facets:

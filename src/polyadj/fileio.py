@@ -88,7 +88,11 @@ def _token(toks: list[str], i: int, what: str) -> str:
 
 
 def _integer(toks: list[str], text: str, i: int, what: str) -> int:
-    if not _INTEGER.match(tok := _token(toks, i, what)):
+    """Header token ``i`` as an int; running out raises a plain ValidationError,
+    as no row can be misaligned yet."""
+    if i >= len(toks):
+        raise ValidationError(f"unexpected end of input: expected {what}")
+    if not _INTEGER.match(tok := toks[i]):
         raise ValidationError(f"line {_tokens(text)[i][0]}: expected integer for {what}, got {tok!r}")
     if (limit := sys.get_int_max_str_digits()) and len(tok.lstrip("+-")) > limit:
         raise ValidationError(f"line {_tokens(text)[i][0]}: {what} has more than {limit} digits")

@@ -29,15 +29,17 @@ from .core import (
 )
 
 __all__ = ["PairArc", "PairKind", "PairNode", "ParityReport", "all_complementary_pairs",
-           "arcs_from", "classify_pair", "disjoint_pairs", "pair_node", "second_pair", "to_dot",
-           "verify_2d_parity"]
+           "arcs_from", "disjoint_pairs", "pair_node", "second_pair", "verify_2d_parity"]
 
 
 class PairKind(Enum):
-    # values double as the short node labels in DOT dumps
-    COMPLEMENTARY = "A"        # no common facet
-    ALMOST_COMPLEMENTARY = "B"  # exactly one common facet
-    EXCLUDED = "-"             # two or more common facets: not a node
+    """Kind of a vertex pair by the facets holding both vertices:
+    COMPLEMENTARY for none, ALMOST_COMPLEMENTARY for exactly one, EXCLUDED
+    for two or more (such a pair is not a node of the pair graph)."""
+
+    COMPLEMENTARY = "A"
+    ALMOST_COMPLEMENTARY = "B"
+    EXCLUDED = "-"
 
 
 # bound once: a walk step reads them often, and a read through the class is slow
@@ -45,10 +47,13 @@ _COMPLEMENTARY, _ALMOST, _EXCLUDED = PairKind
 
 
 class PairNode(NamedTuple):
+    """The pair u < v with its ``kind``; ``common_facet`` is the id of the one
+    facet holding both vertices when the kind is ALMOST_COMPLEMENTARY, else None."""
+
     u: int
     v: int
     kind: PairKind
-    common_facet: int | None  # facet id for ALMOST_COMPLEMENTARY, else None
+    common_facet: int | None
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -56,20 +61,19 @@ class PairNode(NamedTuple):
 
 
 class PairArc(NamedTuple):
+    """An arc from ``tail`` to ``head``: ``moved_vertex`` is the tail vertex
+    that was replaced, and bit f of ``facet_mask`` is set when facet f holds
+    the kept vertex or the moved edge."""
+
     tail: PairNode
     head: PairNode
-    moved_vertex: int  # the tail vertex that was replaced
-    facet_mask: int  # bit f set: facet f holds the kept vertex or the moved edge
+    moved_vertex: int
+    facet_mask: int
 
     @property
     def facet_set(self) -> frozenset[int]:
         """The facet ids set in ``facet_mask``, built on each read."""
         return Facets.ids(self.facet_mask)
-
-
-def classify_pair(p: Polytope, facets: Facets, u: int, v: int) -> PairKind:
-    """Node kind of {u, v} by the number of facets containing both."""
-    return pair_node(p, facets, u, v).kind
 
 
 def pair_node(p: Polytope, facets: Facets, u: int, v: int) -> PairNode:
@@ -300,6 +304,10 @@ def _shortest_path(neighbors: list[list[int]], source: int, target: int) -> list
 
 
 class ParityReport(NamedTuple):
+    """What :func:`verify_2d_parity` found: the facet count, the number of
+    complementary pairs, whether that number is even, and whether no two of
+    the pairs share a vertex."""
+
     facet_count: int
     pair_count: int
     even: bool
@@ -327,24 +335,3 @@ def verify_2d_parity(p: Polytope, facets: Facets) -> ParityReport:
         )
     return report
 
-
-def to_dot(p: Polytope, facets: Facets, neighbors: list[list[int]]) -> str:
-    """DOT dump of the whole pair graph, nodes labeled "u,v:A|B", arcs
-    labeled with their facet-set ids. For inspection and golden tests."""
-    _require_walkable(p, facets)
-    nodes = [node for u in range(p.vertex_count) for v in range(u + 1, p.vertex_count)
-             if (node := pair_node(p, facets, u, v)).kind is not _EXCLUDED]
-    lines = ["graph pairs {"]
-    for node in nodes:
-        lines.append(f'  "{node.u},{node.v}" [label="{node.u},{node.v}:{node.kind.value}"];')
-    for node in nodes:
-        for arc in arcs_from(p, facets, neighbors, node):
-            if arc.head.pair < arc.tail.pair:  # listed already, from the head
-                continue
-            label = "{" + ",".join(map(str, sorted(arc.facet_set))) + "}"
-            lines.append(
-                f'  "{arc.tail.u},{arc.tail.v}" -- "{arc.head.u},{arc.head.v}" '
-                f'[label="{label}"];'
-            )
-    lines.append("}")
-    return "\n".join(lines)

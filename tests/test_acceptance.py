@@ -22,7 +22,6 @@ from polyadj.pairgraph import (
     PairKind,
     all_complementary_pairs,
     arcs_from,
-    classify_pair,
     disjoint_pairs,
     pair_node,
     second_pair,
@@ -120,12 +119,12 @@ def test_pair_graph_arc_structure():
         facets = detect_facets(p)
         neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
         for u, v in combinations(range(p.vertex_count), 2):
-            kind = classify_pair(p, facets, u, v)
-            if kind is PairKind.EXCLUDED:
+            node = pair_node(p, facets, u, v)
+            if node.kind is PairKind.EXCLUDED:
                 continue
-            arcs = arcs_from(p, facets, neighbors, pair_node(p, facets, u, v))
+            arcs = arcs_from(p, facets, neighbors, node)
             assert all(len(a.facet_set) == 2 * d - 1 for a in arcs)
-            if kind is PairKind.COMPLEMENTARY:
+            if node.kind is PairKind.COMPLEMENTARY:
                 assert len(arcs) == 2 * d
                 assert len({a.head.pair for a in arcs}) == 2 * d
                 assert len({a.facet_set for a in arcs}) == 2 * d

@@ -16,19 +16,20 @@ from polyadj.core import (
     Polytope,
     ValidationError,
     ZeroSet,
+    _bits,
+    _face,
     _meet,
     _shown,
     _transpose,
     as_fraction,
     detect_facets,
     face_dimension,
-    face_vertices,
     is_complementary,
     is_simple,
     rank,
 )
 from polyadj.generators import HPolytope, cube, simplex, slack_embed
-from polyadj.pairgraph import PairKind, all_complementary_pairs, classify_pair
+from polyadj.pairgraph import PairKind, all_complementary_pairs, pair_node
 
 # enumerated by hand from the 8 corners of the unit cube: coordinates are
 # (x1, x2, x3, 1-x1, 1-x2, 1-x3), vertices sorted lexicographically
@@ -332,27 +333,28 @@ def test_dimension_needs_no_rank(monkeypatch):
 # -- faces ------------------------------------------------------------------
 
 
+def face_members(p: Polytope, s: ZeroSet) -> list[int]:
+    """Vertices on the face where the coordinates in ``s`` vanish, ascending:
+    the kernel that face_dimension, combinatorial_test and algebraic_test run."""
+    return list(_bits(_face(p, s.bits)))
+
+
 def test_face_vertices_whole_and_single():
     p = cube(3)
-    assert face_vertices(p, ZeroSet(p.n, 0)) == list(range(8))
+    assert face_members(p, ZeroSet(p.n, 0)) == list(range(8))
     for w in range(8):
-        assert face_vertices(p, p.zero_sets[w]) == [w]
+        assert face_members(p, p.zero_sets[w]) == [w]
 
 
 def test_face_vertices_empty_face():
     p = cube(3)
     # x1 = 0 and 1 - x1 = 0 cannot hold together
-    assert face_vertices(p, ZeroSet.of_indices(6, (1, 4))) == []
+    assert face_members(p, ZeroSet.of_indices(6, (1, 4))) == []
     assert face_dimension(p, ZeroSet.of_indices(6, (1, 4))) is None
 
 
-def test_face_vertices_width_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        face_vertices(cube(3), ZeroSet(5, 0))
-
-
 def test_face_dimension_width_mismatch():
-    # the one width-checked face that face_vertices reads, with its message
+    # the one width-checked face query, with its message
     with pytest.raises(ValueError, match=r"^zero set width 5 does not match n=6$"):
         face_dimension(cube(3), ZeroSet(5, 0))
 
@@ -378,7 +380,7 @@ def test_join_identity_against_minimal_face_oracle():
                 got = (p.zero_sets[u] & p.zero_sets[v]).indices()
                 assert got == want, (name, u, v)
                 members = orc.minimal_face_vertices(h, u, v)
-                assert face_vertices(p, p.zero_sets[u] & p.zero_sets[v]) == list(members)
+                assert face_members(p, p.zero_sets[u] & p.zero_sets[v]) == list(members)
                 assert face_dimension(p, p.zero_sets[u] & p.zero_sets[v]) == orc.affine_dim(
                     [h.vertices[k] for k in members]
                 )
@@ -400,7 +402,7 @@ def test_face_dimension_needs_no_rank(monkeypatch):
         zs = p.zero_sets
         sets = [zs[u] & zs[v] for u, v in combinations(range(p.vertex_count), 2)]
         sets += [ZeroSet.of_indices(p.n, ij) for ij in combinations(range(1, p.n + 1), 2)]
-        faces = {tuple(face_vertices(p, s)) for s in sets}
+        faces = {tuple(face_members(p, s)) for s in sets}
         want = {face: orc.affine_dim([p.vertices[w] for w in face]) if face else None
                 for face in faces}
         cases.append((p, sets, want))
@@ -412,7 +414,7 @@ def test_face_dimension_needs_no_rank(monkeypatch):
     monkeypatch.setattr("polyadj.core.rank", no_rank)
     for p, sets, want in cases:
         for s in sets:
-            assert face_dimension(p, s) == want[tuple(face_vertices(p, s))], (p, s)
+            assert face_dimension(p, s) == want[tuple(face_members(p, s))], (p, s)
 
 
 # -- facets -----------------------------------------------------------------
@@ -429,7 +431,7 @@ def test_cube3_facets():
     # ordered by smallest defining coordinate
     assert [f.coordinates.indices() for f in facets] == [(i,) for i in range(1, 7)]
     for w in range(8):
-        assert len(facets.of_vertex(w)) == 3
+        assert len(Facets.ids(facets.masks[w])) == 3
 
 
 @given(st.integers(0, 2 ** 70))
@@ -470,13 +472,6 @@ def test_transpose_reads_columns_longer_than_the_int_string_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert cols == tuple(sum(1 << r for r in range(c, 1000, 3)) for c in range(3))
-
-
-def test_of_vertex_refuses_out_of_range_index():
-    facets = detect_facets(cube(2))
-    for w in (-1, 4):
-        with pytest.raises(ValueError, match=f"vertex index {w} out of range 0..3"):
-            facets.of_vertex(w)
 
 
 def test_facets_read_like_a_tuple_with_int_indices_only():
@@ -527,7 +522,7 @@ def test_point_has_no_facets():
     facets = detect_facets(POINT)
     assert len(facets) == 0 and list(facets) == []
     assert facets.non_facet_coordinates == (1,)
-    assert facets.masks == (0,) and facets.of_vertex(0) == frozenset()
+    assert facets.masks == (0,) and Facets.ids(facets.masks[0]) == frozenset()
     assert is_simple(POINT, facets)
 
 
@@ -630,7 +625,7 @@ def test_facet_queries_need_no_rank(monkeypatch):
         for u, v in combinations(range(p.vertex_count), 2):
             assert is_complementary(p, u, v, facets) == orc.complementary(h, u, v)
             shared = sum(u in fs and v in fs for fs in want)
-            assert classify_pair(p, facets, u, v) is kinds[min(shared, 2)]
+            assert pair_node(p, facets, u, v).kind is kinds[min(shared, 2)]
         last = p.vertex_count - 1
         assert is_complementary(p, 0, last) == orc.complementary(h, 0, last)
 
@@ -648,7 +643,7 @@ def test_face_queries_need_no_zero_set_scan(monkeypatch):
     for h, p in cases:
         for u, v in combinations(range(p.vertex_count), 2):
             join = p.zero_sets[u] & p.zero_sets[v]
-            assert face_vertices(p, join) == list(orc.minimal_face_vertices(h, u, v))
+            assert face_members(p, join) == list(orc.minimal_face_vertices(h, u, v))
             assert combinatorial_test(p, u, v) == orc.adjacent(h, u, v)
 
 

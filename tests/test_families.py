@@ -36,7 +36,6 @@ from polyadj.pairgraph import (
     disjoint_pairs,
     pair_node,
     second_pair,
-    to_dot,
     verify_2d_parity,
 )
 
@@ -118,6 +117,7 @@ def test_arc_facet_sets_read_off_their_masks(embedded):
     # each arc's facet set is the facets of its kept vertex and of its moved
     # edge, listed from the mask the arc holds
     f, p, facets, neighbors, to_family, count = embedded
+    masks = facets.masks
     for u, v in combinations(range(p.vertex_count), 2):
         node = pair_node(p, facets, u, v)
         if node.kind is PairKind.EXCLUDED:
@@ -125,8 +125,8 @@ def test_arc_facet_sets_read_off_their_masks(embedded):
         for arc in arcs_from(p, facets, neighbors, node):
             (stay,) = {u, v} - {arc.moved_vertex}
             (x,) = set(arc.head.pair) - {stay}
-            want = facets.of_vertex(stay) | (facets.of_vertex(arc.moved_vertex)
-                                             & facets.of_vertex(x))
+            want = Facets.ids(masks[stay]) | (Facets.ids(masks[arc.moved_vertex])
+                                              & Facets.ids(masks[x]))
             assert arc.facet_set == Facets.ids(arc.facet_mask) == want
 
 
@@ -180,21 +180,49 @@ def test_walk_answers_on_dual_cyclic_are_pinned(d):
         assert disjoint_pairs(p, facets, neighbors, start) == (start, disjoint)
 
 
-# sha256 of the whole to_dot text: each arc once, from its lower node
-DOT_SHA256 = {
-    "cube(3)": "98b30784079a766b0509fd8657c4c628b419652fbcd8239b5580c90f67a34e21",
-    "truncated_cube": "9dfbe1ac3e4cd83d9aa8174c862a7a6cf081e3277adb36904675c29a19592494",
-    "dual_cyclic(4)": "e7f1581a1bcc62a89113221fa48e69971c39bb6da045366d5e6069e39abc15f0",
+def _arc_table(p):
+    """Every non-excluded node in ascending pair order, with each of its arcs
+    as (head pair, moved vertex, facet mask) in ``arcs_from``'s order."""
+    facets = detect_facets(p)
+    neighbors = neighbor_lists(p.vertex_count, all_pairs_adjacency(p))
+    nodes = (pair_node(p, facets, u, v) for u, v in combinations(range(p.vertex_count), 2))
+    return [(node.pair, [(arc.head.pair, arc.moved_vertex, arc.facet_mask)
+                         for arc in arcs_from(p, facets, neighbors, node)])
+            for node in nodes if node.kind is not PairKind.EXCLUDED]
+
+
+def test_arcs_of_the_square_are_pinned():
+    # facets of cube(2): 0 (x1 = 0), 1 (x2 = 0), 2 (x3 = 0), 3 (x4 = 0)
+    assert _arc_table(cube(2)) == [
+        ((0, 1), [((0, 3), 1, 0b1011), ((1, 2), 0, 0b1011)]),
+        ((0, 2), [((0, 3), 2, 0b0111), ((1, 2), 0, 0b0111)]),
+        ((0, 3), [((0, 1), 3, 0b1011), ((0, 2), 3, 0b0111),
+                  ((1, 3), 0, 0b1101), ((2, 3), 0, 0b1110)]),
+        ((1, 2), [((0, 1), 2, 0b1011), ((1, 3), 2, 0b1101),
+                  ((0, 2), 1, 0b0111), ((2, 3), 1, 0b1110)]),
+        ((1, 3), [((1, 2), 3, 0b1101), ((0, 3), 1, 0b1101)]),
+        ((2, 3), [((1, 2), 3, 0b1110), ((0, 3), 2, 0b1110)]),
+    ]
+
+
+# sha256 of the repr of the whole arc table: (node count, arc count, digest)
+ARCS_SHA256 = {
+    "cube(3)": (16, 48, "f4622490003986083d13d198fe8ba1b87bcb41742fbf5dcb9af98cff404f28fb"),
+    "truncated_cube": (30, 96, "0faddb9c4d5e108e9c49fbba2953273f47f36bcebffb4b0a1e875b410b9ffc5b"),
+    "dual_cyclic(4)": (54, 144, "4b12b24d6e70b36132ab7ce6e83c16b2d0827d8b783b33b536983070bcb0a306"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(DOT_SHA256))
-def test_to_dot_text_is_pinned(name):
+@pytest.mark.parametrize("name", sorted(ARCS_SHA256))
+def test_arcs_are_pinned(name):
+    # every arc's head, moved vertex, facet mask and order
     p = {"cube(3)": lambda: cube(3),
          "truncated_cube": lambda: slack_embed(orc.fixture("truncated_cube")),
          "dual_cyclic(4)": lambda: _embed(wl.dual_cyclic(4))[0]}[name]()
-    dot = to_dot(p, detect_facets(p), neighbor_lists(p.vertex_count, all_pairs_adjacency(p)))
-    assert hashlib.sha256(dot.encode()).hexdigest() == DOT_SHA256[name]
+    table = _arc_table(p)
+    got = (len(table), sum(len(arcs) for _, arcs in table),
+           hashlib.sha256(repr(table).encode()).hexdigest())
+    assert got == ARCS_SHA256[name]
 
 
 @pytest.mark.parametrize("k", [2, 3])

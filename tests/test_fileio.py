@@ -224,6 +224,18 @@ def test_parse_errors_name_a_ragged_row():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, what", [("", "coordinate count n"),
+                                        ("# x\n", "coordinate count n"),
+                                        ("3 2", "vertex count V"),
+                                        ("3 2 4", "section marker 'A'")])
+def test_input_ending_in_or_after_the_header_raises_plain_validation_error(text, what):
+    # the parser's private subclass for misaligned rows stays inside the parser
+    with pytest.raises(ValidationError) as err:
+        parse_polytope(text)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == f"unexpected end of input: expected {what}"
+
+
 def test_parse_rejects_invalid_polytopes():
     bad_vertex = CUBE2_FILE.replace("1 1 0 0", "1 1 0 5")
     with pytest.raises(ValidationError, match="vertex 3: equality row 1"):

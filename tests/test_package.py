@@ -18,11 +18,11 @@ PUBLIC = [
     "AdjacencyOracle", "Facet", "Facets", "HPolytope", "JoinMap", "PairArc", "PairKind",
     "PairNode", "ParityReport", "Polytope", "UnsupportedPolytopeError", "ValidationError",
     "Verdict", "ZeroSet", "algebraic_test", "all_complementary_pairs", "all_pairs_adjacency",
-    "arcs_from", "as_fraction", "bipyramid3", "build_join_map", "classify_pair",
+    "arcs_from", "as_fraction", "bipyramid3", "build_join_map",
     "combinatorial_test", "cube", "detect_facets", "disjoint_pairs", "face_dimension",
-    "face_vertices", "fast_test", "fast_verdict", "format_polytope", "is_complementary",
+    "fast_test", "fast_verdict", "format_polytope", "is_complementary",
     "is_simple", "neighbor_lists", "pair_node", "parse_polytope", "precompute", "prism3",
-    "rank", "second_pair", "simplex", "slack_embed", "to_dot", "truncated_cube",
+    "rank", "second_pair", "simplex", "slack_embed", "truncated_cube",
     "verify_2d_parity",
 ]
 
@@ -43,6 +43,16 @@ def test_package_reexports_exactly_the_module_lists():
     namespace = {}
     exec("from polyadj import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+
+
+def test_every_public_name_has_its_own_docstring():
+    # a class's own, not one it inherits or one its base generates:
+    # "Name(field, ...)" for a NamedTuple, "An enumeration." for an Enum on 3.10
+    for name in polyadj.__all__:
+        obj = getattr(polyadj, name)
+        doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+        assert doc and doc.strip(), name
+        assert not doc.startswith(f"{name}(") and doc != "An enumeration.", name
 
 
 def test_readme_library_example():

@@ -19,32 +19,11 @@ from polyadj.pairgraph import (
     PairNode,
     all_complementary_pairs,
     arcs_from,
-    classify_pair,
     disjoint_pairs,
     pair_node,
     second_pair,
-    to_dot,
     verify_2d_parity,
 )
-
-SQUARE_DOT = """\
-graph pairs {
-  "0,1" [label="0,1:B"];
-  "0,2" [label="0,2:B"];
-  "0,3" [label="0,3:A"];
-  "1,2" [label="1,2:A"];
-  "1,3" [label="1,3:B"];
-  "2,3" [label="2,3:B"];
-  "0,1" -- "0,3" [label="{0,1,3}"];
-  "0,1" -- "1,2" [label="{0,1,3}"];
-  "0,2" -- "0,3" [label="{0,1,2}"];
-  "0,2" -- "1,2" [label="{0,1,2}"];
-  "0,3" -- "1,3" [label="{0,2,3}"];
-  "0,3" -- "2,3" [label="{1,2,3}"];
-  "1,2" -- "1,3" [label="{0,2,3}"];
-  "1,2" -- "2,3" [label="{1,2,3}"];
-}"""
-
 
 def graph_inputs(p):
     facets = detect_facets(p)
@@ -53,11 +32,8 @@ def graph_inputs(p):
 
 
 def all_nodes(p, facets):
-    return [
-        pair_node(p, facets, u, v)
-        for u, v in combinations(range(p.vertex_count), 2)
-        if classify_pair(p, facets, u, v) is not PairKind.EXCLUDED
-    ]
+    nodes = (pair_node(p, facets, u, v) for u, v in combinations(range(p.vertex_count), 2))
+    return [node for node in nodes if node.kind is not PairKind.EXCLUDED]
 
 
 # -- classification ----------------------------------------------------------
@@ -66,15 +42,15 @@ def all_nodes(p, facets):
 def test_classify_cube3():
     p = cube(3)
     facets = detect_facets(p)
-    assert classify_pair(p, facets, 0, 7) is PairKind.COMPLEMENTARY
-    assert classify_pair(p, facets, 0, 6) is PairKind.ALMOST_COMPLEMENTARY
-    assert classify_pair(p, facets, 0, 1) is PairKind.EXCLUDED  # an edge, d-1 facets
+    assert pair_node(p, facets, 0, 7).kind is PairKind.COMPLEMENTARY
+    assert pair_node(p, facets, 0, 6).kind is PairKind.ALMOST_COMPLEMENTARY
+    assert pair_node(p, facets, 0, 1).kind is PairKind.EXCLUDED  # an edge, d-1 facets
     node = pair_node(p, facets, 6, 0)
     assert node.pair == (0, 6)
     assert node.common_facet == 2  # the x3 = 0 facet
     assert pair_node(p, facets, 0, 7).common_facet is None
     with pytest.raises(ValueError, match="distinct"):
-        classify_pair(p, facets, 3, 3)
+        pair_node(p, facets, 3, 3)
 
 
 def test_all_complementary_pairs_frozen():
@@ -132,7 +108,7 @@ def test_queries_refuse_a_catalogue_of_another_polytope():
     for q, facets in ((prism3(), detect_facets(p)), (reversed_cube, detect_facets(p)),
                       (p, detect_facets(prism3()))):
         queries = (lambda: is_simple(q, facets), lambda: is_complementary(q, 0, 5, facets),
-                   lambda: pair_node(q, facets, 0, 5), lambda: classify_pair(q, facets, 0, 5),
+                   lambda: pair_node(q, facets, 0, 5),
                    lambda: all_complementary_pairs(q, facets),
                    lambda: second_pair(q, facets, [[]] * q.vertex_count, (0, 5)))
         for query in queries:
@@ -590,20 +566,3 @@ def test_parity_rejects_unsupported():
     seg = cube(1)
     with pytest.raises(UnsupportedPolytopeError, match="dimension > 1"):
         verify_2d_parity(seg, detect_facets(seg))
-
-
-# -- dot dump -----------------------------------------------------------------
-
-
-def test_to_dot_square_golden():
-    p = cube(2)
-    facets, neighbors = graph_inputs(p)
-    assert to_dot(p, facets, neighbors) == SQUARE_DOT
-
-
-def test_to_dot_cube3_mentions_nodes():
-    p = cube(3)
-    facets, neighbors = graph_inputs(p)
-    dot = to_dot(p, facets, neighbors)
-    assert '"0,7" [label="0,7:A"];' in dot
-    assert '"0,6" [label="0,6:B"];' in dot

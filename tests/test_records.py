@@ -153,6 +153,23 @@ def test_zero_set_fields_must_be_plain_ints():
     assert repr(ZeroSet(2, 1)) == "ZeroSet({1}, width=2)" and len(ZeroSet(2, 1)) == 1
 
 
+def test_zero_set_refuses_foreign_operands_as_python_does():
+    # & with a non-ZeroSet is Python's own TypeError, not an AttributeError on
+    # ``width``; membership of a non-int is False, as for range and frozenset
+    z = ZeroSet(3, 1)
+    for other, name in ((1, "int"), (frozenset({1}), "frozenset")):
+        message = f"^unsupported operand type\\(s\\) for &: 'ZeroSet' and '{name}'$"
+        with pytest.raises(TypeError, match=message):
+            z & other
+        with pytest.raises(TypeError, match=message):
+            z.issuperset(other)
+    full = ZeroSet(3, 3)
+    for item in (2.5, "a", None, (1,)):
+        assert item not in full and item not in range(1, 4) and item not in frozenset({1, 2})
+    assert [k in full for k in range(5)] == [False, True, True, False, False]
+    assert z & ZeroSet(3, 3) == z and full.issuperset(z) and not z.issuperset(full)
+
+
 def test_copies_and_unpickling_run_the_constructor_checks(monkeypatch):
     # so a copy is as checked as the record it copies; fails where a copy
     # restores the fields without the constructor
