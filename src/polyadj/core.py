@@ -32,8 +32,7 @@ from math import gcd, lcm, log10
 from typing import NamedTuple
 
 __all__ = ["Facet", "Facets", "Polytope", "UnsupportedPolytopeError", "ValidationError",
-           "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "is_complementary",
-           "is_simple", "rank"]
+           "ZeroSet", "as_fraction", "detect_facets", "face_dimension", "is_simple", "rank"]
 
 
 class ValidationError(ValueError):
@@ -143,17 +142,16 @@ class ZeroSet(_Frozen):
             raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
 
     @classmethod
-    def of_point(cls, coords: Sequence[Fraction]) -> "ZeroSet":
-        bits = 0
-        for i, x in enumerate(coords):
-            if x == 0:
-                bits |= 1 << i
-        return cls(len(coords), bits)
+    def of_point(cls, coords: Sequence[Fraction | int | str]) -> "ZeroSet":
+        """The coordinates that vanish on ``coords``, each read through :func:`as_fraction`."""
+        return cls(len(coords), sum(1 << i for i, x in enumerate(coords) if not as_fraction(x)))
 
     @classmethod
     def of_indices(cls, width: int, indices: Iterable[int]) -> "ZeroSet":
         bits = 0
         for i in indices:
+            if type(i) is not int:  # refuses bool and other int subclasses too
+                raise TypeError(f"coordinate must be an int, got {type(i).__name__}")
             if not 1 <= i <= width:
                 raise ValueError(f"coordinate {i} out of range 1..{width}")
             bits |= 1 << (i - 1)
@@ -406,10 +404,6 @@ class Polytope:
     def zero_sets(self) -> tuple[ZeroSet, ...]:
         return tuple(ZeroSet(self.n, bits) for bits in self._zero_bits)
 
-    def zero_set(self, vertex_index: int) -> ZeroSet:
-        _check_index(self.vertex_count, vertex_index)
-        return self.zero_sets[vertex_index]
-
     @cached_property
     def coordinate_faces(self) -> tuple[int, ...]:
         """Vertex set of each coordinate face, as a bitmask: bit w of entry i
@@ -446,7 +440,9 @@ def face_dimension(p: Polytope, s: ZeroSet) -> int | None:
     is a facet of the face, so each step drops the dimension by one.  O(d n)
     operations on V-bit ints.  Exact when the vertex list is correct and
     complete; on an incomplete list it can fall below the affine rank of the
-    face's points, never above it.  Refuses ``s`` unless it has P's width."""
+    face's points, never above it.  Refuses ``s`` unless a ZeroSet of P's width."""
+    if not isinstance(s, ZeroSet):
+        raise TypeError(f"face_dimension takes a ZeroSet, got {type(s).__name__}")
     if s.width != p.n:
         raise ValueError(f"zero set width {s.width} does not match n={p.n}")
     face = _face(p, s.bits)
@@ -535,19 +531,6 @@ def _own(p: Polytope, facets: Facets) -> None:
     sets: O(1) for the catalogue of ``p`` itself, O(V) otherwise."""
     if facets._zero_bits is not p._zero_bits and facets._zero_bits != p._zero_bits:
         raise ValueError("facet catalogue was built for a different polytope")
-
-
-def is_complementary(p: Polytope, u: int, v: int, facets: Facets | None = None) -> bool:
-    """True when vertices u and v lie on no common facet: one AND of their
-    facet masks.  Computes the facet catalogue when one is not supplied
-    (pass ``facets`` when calling repeatedly); refuses one built for another
-    polytope.
-    """
-    _check_pair(p.vertex_count, u, v, "complementarity needs two distinct vertices")
-    if facets is None:
-        facets = detect_facets(p)
-    _own(p, facets)
-    return not facets.masks[u] & facets.masks[v]
 
 
 def is_simple(p: Polytope, facets: Facets | None = None) -> bool:

@@ -24,11 +24,6 @@ from .core import Polytope, ZeroSet
 __all__ = ["JoinMap", "build_join_map"]
 
 
-def _parting_depth(a: int, b: int) -> int:
-    """Depth at which the trie paths of subsets ``a != b`` part."""
-    return ((a ^ b) & -(a ^ b)).bit_length() - 1
-
-
 class JoinMap:
     """Multiset of coordinate subsets with O(1) increment and lookup.
 
@@ -49,25 +44,26 @@ class JoinMap:
         self._joins: dict[int, list] = {}
         self._scanned = False  # set by build_join_map alone: every entry has its pair
 
-    def _check(self, s: ZeroSet) -> None:
+    def _key(self, s: ZeroSet, takes: str) -> int:
+        """``s.bits``, refusing ``s`` unless a ZeroSet of width ``depth``; the
+        refusal of another type says what the caller ``takes``."""
+        if not isinstance(s, ZeroSet):
+            raise TypeError(f"{takes}, got {type(s).__name__}")
         if s.width != self.depth:
             raise ValueError(f"zero set width {s.width} does not match depth {self.depth}")
+        return s.bits
 
     def increment(self, s: ZeroSet) -> None:
         """Add one occurrence of ``s``, with no vertex pair recorded."""
         if self._scanned:
             raise RuntimeError("a join map built by build_join_map takes no increments")
-        self._check(s)
-        self._joins.setdefault(s.bits, [0, None, None])[0] += 1
+        self._joins.setdefault(self._key(s, "increment takes a ZeroSet"), [0, None, None])[0] += 1
 
     def lookup(self, s: ZeroSet | int) -> int:
         """Count of pairs stored under exactly ``s`` (0 when absent): a ``ZeroSet``,
         or its raw ``bits`` as a plain ``int``, taken without a width check."""
         if type(s) is not int:
-            if not isinstance(s, ZeroSet):
-                raise TypeError(f"lookup takes an int or a ZeroSet, got {type(s).__name__}")
-            self._check(s)
-            s = s.bits
+            s = self._key(s, "lookup takes an int or a ZeroSet")
         entry = self._joins.get(s)
         return entry[0] if entry else 0
 
@@ -96,30 +92,11 @@ class JoinMap:
             raise ValueError("join map was filled through increment and records no vertex pairs")
         return [(u, v) for count, u, v in self._joins.values() if count == 1]
 
-    def _trie_order(self) -> list[int]:
-        # depth-first, absent branch first: ascending by the bits read from
-        # the lowest coordinate up
-        return sorted(self._joins, key=lambda bits: f"{bits:0{self.depth}b}"[::-1])
-
     def items(self) -> Iterator[tuple[ZeroSet, int]]:
-        """Stored (subset, count) pairs in trie order, absent branch first."""
-        for bits in self._trie_order():
+        """Stored (subset, count) pairs in trie order: depth-first, absent branch
+        first, so ascending by the bits read from the lowest coordinate up."""
+        for bits in sorted(self._joins, key=lambda bits: f"{bits:0{self.depth}b}"[::-1]):
             yield ZeroSet(self.depth, bits), self._joins[bits][0]
-
-    def dump(self) -> str:
-        """Indented text form for golden tests: 0 = absent child, 1 = present."""
-        if not self._joins:
-            return "(empty)"
-        lines = ["root"]
-        prev = None
-        for bits in self._trie_order():
-            # nodes shared with the previous subset's path are already printed
-            start = 0 if prev is None else _parting_depth(prev, bits)
-            lines += ["  " * (k + 1) + str(bits >> k & 1) for k in range(start, self.depth)]
-            if self.depth:
-                lines[-1] += f" = {self._joins[bits][0]}"
-            prev = bits
-        return "\n".join(lines)
 
 
 def build_join_map(p: Polytope) -> JoinMap:

@@ -24,7 +24,6 @@ from polyadj.core import (
     as_fraction,
     detect_facets,
     face_dimension,
-    is_complementary,
     is_simple,
     rank,
 )
@@ -291,16 +290,6 @@ def test_zero_sets_are_built_once_at_the_api_edge():
         assert type(p.zero_sets) is tuple
         assert p.zero_sets == tuple(ZeroSet.of_point(v) for v in p.vertices), name
         assert all(type(z) is ZeroSet for z in p.zero_sets)
-        assert all(p.zero_set(k) is p.zero_sets[k] for k in range(p.vertex_count))
-
-
-def test_zero_set_index_errors():
-    p = cube(3)
-    with pytest.raises(ValueError, match="out of range"):
-        p.zero_set(8)
-    with pytest.raises(ValueError, match="out of range"):
-        p.zero_set(-1)
-    assert p.zero_set(0) == p.zero_sets[0]
 
 
 def test_dimension():
@@ -357,6 +346,14 @@ def test_face_dimension_width_mismatch():
     # the one width-checked face query, with its message
     with pytest.raises(ValueError, match=r"^zero set width 5 does not match n=6$"):
         face_dimension(cube(3), ZeroSet(5, 0))
+
+
+def test_face_dimension_refuses_a_face_that_is_not_a_zero_set():
+    # by type, as JoinMap.lookup refuses a key, not with an AttributeError on ``width``
+    for face in (0, 1.0, (1, 2), None):
+        with pytest.raises(TypeError,
+                           match=f"^face_dimension takes a ZeroSet, got {type(face).__name__}$"):
+            face_dimension(cube(2), face)
 
 
 def test_face_dimension_ladder():
@@ -514,7 +511,7 @@ def test_dead_coordinate_is_not_a_facet():
     # the dead coordinate stays in every zero set
     assert all(3 in z for z in p.zero_sets)
     # and does not block complementarity of the two endpoints
-    assert is_complementary(p, 0, 1, facets)
+    assert not facets.masks[0] & facets.masks[1]
 
 
 def test_point_has_no_facets():
@@ -566,9 +563,9 @@ def test_cube3_complementary_pairs():
     p = cube(3)
     facets = detect_facets(p)
     comp = {(u, v) for u in range(8) for v in range(u + 1, 8)
-            if is_complementary(p, u, v, facets)}
+            if not facets.masks[u] & facets.masks[v]}
     assert comp == {(0, 7), (1, 6), (2, 5), (3, 4)}  # antipodal corners
-    assert not is_complementary(p, 0, 1, facets)  # an edge shares two facets
+    assert (facets.masks[0] & facets.masks[1]).bit_count() == 2  # an edge shares two facets
 
 
 def test_is_complementary_matches_oracle():
@@ -578,19 +575,8 @@ def test_is_complementary_matches_oracle():
         facets = detect_facets(p)
         for u in range(p.vertex_count):
             for v in range(u + 1, p.vertex_count):
-                assert is_complementary(p, u, v, facets) == orc.complementary(h, u, v)
-
-
-def test_is_complementary_argument_errors():
-    p = cube(3)
-    with pytest.raises(ValueError, match="distinct"):
-        is_complementary(p, 2, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        is_complementary(p, 0, 9)
-
-
-def test_is_complementary_computes_facets_when_missing():
-    assert is_complementary(cube(3), 0, 7)
+                kind = pair_node(p, facets, u, v).kind
+                assert (kind is PairKind.COMPLEMENTARY) == orc.complementary(h, u, v)
 
 
 def test_is_simple():
@@ -623,11 +609,8 @@ def test_facet_queries_need_no_rank(monkeypatch):
         assert is_simple(p, facets) is simple and is_simple(p) is simple
         assert all_complementary_pairs(p, facets) == orc.complementary_pairs(h)
         for u, v in combinations(range(p.vertex_count), 2):
-            assert is_complementary(p, u, v, facets) == orc.complementary(h, u, v)
             shared = sum(u in fs and v in fs for fs in want)
             assert pair_node(p, facets, u, v).kind is kinds[min(shared, 2)]
-        last = p.vertex_count - 1
-        assert is_complementary(p, 0, last) == orc.complementary(h, 0, last)
 
 
 def test_face_queries_need_no_zero_set_scan(monkeypatch):

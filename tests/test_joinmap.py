@@ -1,4 +1,4 @@
-"""Trie semantics: counts, node budget, lookups, golden dump, the built map's write guard."""
+"""Trie semantics: counts, node budget, lookups, trie order, the built map's write guard."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,18 +16,10 @@ FIGURE_COUNTS = {
     (1, 2, 3): 1,
 }
 
-FIGURE_DUMP = """\
-root
-  0
-    0
-      1 = 5
-    1
-      0 = 7
-      1 = 1
-  1
-    1
-      0 = 4
-      1 = 1"""
+# its keys in trie order (depth-first, absent branch first), which FIGURE_COUNTS
+# is not in: a binary trie over keys of one depth is fixed by its key set, so
+# this and the node count pin the figure
+FIGURE_ITEMS = [((3,), 5), ((2,), 7), ((2, 3), 1), ((1, 2), 4), ((1, 2, 3), 1)]
 
 
 def figure_map() -> JoinMap:
@@ -47,14 +39,14 @@ def test_figure_lookups():
     assert jm.lookup(ZeroSet.of_indices(3, (1, 3))) == 0
 
 
-def test_figure_totals_and_dump():
+def test_figure_totals_and_trie_order():
     jm = figure_map()
     assert jm.pair_total == 18
     assert jm.leaf_count == 5
     # stored paths share prefixes: 11 allocated nodes, within (n+1) per subset
     assert jm.node_count == 11 <= 4 * jm.leaf_count
-    assert jm.dump() == FIGURE_DUMP
-    assert {z.indices(): c for z, c in jm.items()} == FIGURE_COUNTS
+    assert [(z.indices(), c) for z, c in jm.items()] == FIGURE_ITEMS
+    assert dict(FIGURE_ITEMS) == FIGURE_COUNTS
 
 
 def test_first_insert_allocates_full_path():
@@ -79,7 +71,6 @@ def test_lookup_never_allocates():
 def test_empty_map():
     jm = JoinMap(4)
     assert jm.lookup(ZeroSet(4, 0)) == 0
-    assert jm.dump() == "(empty)"
     assert list(jm.items()) == []
 
 
@@ -134,6 +125,16 @@ def test_built_map_takes_no_increments():
         assert {bits: jm.lookup(bits) for bits in range(1 << p.n)} == counts
 
 
+def test_items_of_a_scanned_map_come_in_trie_order():
+    # trie order: ascending by the bits read from coordinate 1 up
+    for p in (cube(3), prism3()):
+        jm = build_join_map(p)
+        stored = [bits for bits in range(1 << p.n) if jm.lookup(bits)]
+        from_coordinate_1 = sorted(stored, key=lambda bits: [bits >> k & 1 for k in range(p.n)])
+        assert [z.bits for z, _ in jm.items()] == from_coordinate_1
+        assert from_coordinate_1 != sorted(stored)  # the order is not plain ascending bits
+
+
 def test_build_join_map_cube3():
     p = cube(3)
     jm = build_join_map(p)
@@ -153,7 +154,7 @@ def test_single_vertex_polytope_builds_empty_map():
     jm = build_join_map(point)
     assert jm.pair_total == 0
     assert jm.node_count == 0
-    assert jm.dump() == "(empty)"
+    assert list(jm.items()) == []
 
 
 @given(
@@ -185,3 +186,12 @@ def test_lookup_refuses_a_key_of_another_type(key):
     with pytest.raises(TypeError,
                        match=f"^lookup takes an int or a ZeroSet, got {type(key).__name__}$"):
         jm.lookup(key)
+
+
+@pytest.mark.parametrize("key", [3, 1.0, True, "3", (2,)], ids=lambda key: type(key).__name__)
+def test_increment_refuses_a_key_that_is_not_a_zero_set(key):
+    jm = JoinMap(3)
+    with pytest.raises(TypeError,
+                       match=f"^increment takes a ZeroSet, got {type(key).__name__}$"):
+        jm.increment(key)
+    assert jm.pair_total == jm.leaf_count == 0

@@ -20,7 +20,7 @@ PUBLIC = [
     "Verdict", "ZeroSet", "algebraic_test", "all_complementary_pairs", "all_pairs_adjacency",
     "arcs_from", "as_fraction", "bipyramid3", "build_join_map",
     "combinatorial_test", "cube", "detect_facets", "disjoint_pairs", "face_dimension",
-    "fast_test", "fast_verdict", "format_polytope", "is_complementary",
+    "fast_test", "fast_verdict", "format_polytope",
     "is_simple", "neighbor_lists", "pair_node", "parse_polytope", "precompute", "prism3",
     "rank", "second_pair", "simplex", "slack_embed", "truncated_cube",
     "verify_2d_parity",

@@ -9,7 +9,7 @@ import pytest
 import oracles as orc
 from polyadj.adjacency import all_pairs_adjacency, neighbor_lists
 from polyadj.core import (
-    Facets, Polytope, UnsupportedPolytopeError, detect_facets, is_complementary, is_simple,
+    Facets, Polytope, UnsupportedPolytopeError, detect_facets, is_simple,
 )
 from polyadj.generators import cube, prism3, simplex, slack_embed
 from polyadj import pairgraph
@@ -107,8 +107,7 @@ def test_queries_refuse_a_catalogue_of_another_polytope():
     reversed_cube = Polytope(p.A, p.b, p.vertices[::-1])
     for q, facets in ((prism3(), detect_facets(p)), (reversed_cube, detect_facets(p)),
                       (p, detect_facets(prism3()))):
-        queries = (lambda: is_simple(q, facets), lambda: is_complementary(q, 0, 5, facets),
-                   lambda: pair_node(q, facets, 0, 5),
+        queries = (lambda: is_simple(q, facets), lambda: pair_node(q, facets, 0, 5),
                    lambda: all_complementary_pairs(q, facets),
                    lambda: second_pair(q, facets, [[]] * q.vertex_count, (0, 5)))
         for query in queries:

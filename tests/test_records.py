@@ -170,6 +170,26 @@ def test_zero_set_refuses_foreign_operands_as_python_does():
     assert z & ZeroSet(3, 3) == z and full.issuperset(z) and not z.issuperset(full)
 
 
+def test_zero_set_classmethods_check_their_input_as_the_fields_do():
+    # an index that is not exactly an int is refused by type, before the range
+    # check, so True does not stand for coordinate 1
+    for indices, name in (([True], "bool"), ([1.5], "float"), ("12", "str"),
+                          ([Fraction(1)], "Fraction"), ([1, 9.0], "float")):
+        with pytest.raises(TypeError, match=f"^coordinate must be an int, got {name}$"):
+            ZeroSet.of_indices(3, indices)
+    with pytest.raises(ValueError, match=r"^coordinate 4 out of range 1\.\.3$"):
+        ZeroSet.of_indices(3, [1, 4])
+    assert ZeroSet.of_indices(3, [1, 3]) == ZeroSet(3, 5)
+    # each coordinate is read through as_fraction: a str is parsed, so "0" is a
+    # zero, and a float or a non-number is refused
+    assert ZeroSet.of_point(["0", "1"]) == ZeroSet(2, 1)
+    assert ZeroSet.of_point(["1/2", "0/3", Fraction(0), 0]) == ZeroSet(4, 14)
+    for coords, message in (([0.0, 1], "refusing float 0.0; pass int, str or Fraction"),
+                            ((1, "x"), "not a rational number: 'x'")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ZeroSet.of_point(coords)
+
+
 def test_copies_and_unpickling_run_the_constructor_checks(monkeypatch):
     # so a copy is as checked as the record it copies; fails where a copy
     # restores the fields without the constructor
